@@ -23,7 +23,7 @@ from .forging import (
     pow_solve_time,
     verify_pos_block,
 )
-from .ledger import Ledger, LedgerError, Lock, StakeAccount, Transfer, Unlock
+from .ledger import Ledger, LedgerError, StakeAccount
 from .simnet import (
     ConfigError,
     LatencyModel,
@@ -82,7 +82,6 @@ __all__ = [
     "LatencyModel",
     "Ledger",
     "LedgerError",
-    "Lock",
     "MinerContext",
     "PosEligibility",
     "SimConfig",
@@ -90,8 +89,6 @@ __all__ = [
     "StakeAccount",
     "StakerContext",
     "StakerPolicy",
-    "Transfer",
-    "Unlock",
     "WeightPair",
     "adjust",
     "baseline_config",

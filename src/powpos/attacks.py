@@ -8,7 +8,9 @@ mechanical content at this layer and are deliberately absent.
 
 Monte Carlo helpers model each side of a race as aggregate exponential
 event streams (one per block kind), which is exact for our forging rules:
-individual producers merge into a single Poisson process per kind.
+individual producers merge into a single Poisson process per kind.  Every
+Monte Carlo loop here and in ``slashing`` iterates one race kernel,
+``_race``, which merges such streams into a single sequence of events.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .chain import BlockKind, BlockTree
+from .chain import BlockKind
 from .crypto import HashOracle
 from .difficulty import DifficultyParams, adjust
 from .forging import pos_delay
@@ -86,58 +88,74 @@ def double_spend_feasible(setup: AttackSetup) -> Tuple[float, bool]:
     return lhs, lhs > 0
 
 
+def _race(rng, rates: List[float], horizon: float, now: float = 0.0):
+    """Yield ``(time, stream index)`` for each event of merged exponential streams.
+
+    Before every event each stream with a positive rate draws a delay, in
+    index order; the earliest fires and ties go to the lowest index.  The
+    race ends once the next event would land past ``horizon``.  ``rates`` is
+    read afresh before every draw, so the caller may change it between events.
+    """
+    while True:
+        best, winner = math.inf, -1
+        for index, rate in enumerate(rates):
+            if rate > 0:
+                dt = rng.expovariate(rate)
+                if dt < best:
+                    best, winner = dt, index
+        if winner < 0 or now + best > horizon:
+            return
+        now += best
+        yield now, winner
+
+
+def _seeded_trials(run_one, trials: int, rng_seed: int):
+    """Run ``run_one(seed)`` on ``trials`` derived seeds; return (win rate, outcomes)."""
+    if trials <= 0:
+        raise ValueError("trials must be positive")
+    outcomes = [run_one(rng_seed * 1_000_003 + i) for i in range(trials)]
+    return sum(1 for o in outcomes if o.attacker_won) / trials, outcomes
+
+
 class _ChainGrowth:
     """One side of a race: exponential block arrivals accumulating weight.
 
-    With ``params`` set, each kind's difficulty follows the production
-    controller using this chain's own gaps; otherwise difficulty is frozen.
+    Kinds are indexed as the race's streams: 0 is PoW, 1 is PoS.  With
+    ``params`` set, each kind's difficulty follows the production controller
+    using this chain's own gaps; otherwise difficulty is frozen.
     """
 
     def __init__(self, td_w, td_s, d_w, d_s, hash_power, stake_power,
-                 params: Optional[DifficultyParams] = None, start_time=0.0):
-        self.td_w = td_w
-        self.td_s = td_s
-        self.hash_power = hash_power
-        self.stake_power = stake_power
+                 params: Optional[DifficultyParams] = None):
+        self.weights = [td_w, td_s]
+        self.powers = (hash_power, stake_power)
         self.params = params
-        # Per kind: difficulty of the latest block and the last observed gap
-        # (None until two blocks exist, meaning "use the starting value").
-        self.state = {
-            BlockKind.POW: [d_w, start_time, None],
-            BlockKind.POS: [d_s, start_time, None],
-        }
+        # Per kind: difficulty of the latest block, its timestamp and the
+        # last observed gap (None until two blocks exist, meaning "use the
+        # starting value").
+        self.state = [[d_w, 0.0, None], [d_s, 0.0, None]]
 
-    def next_difficulty(self, kind) -> float:
+    def next_difficulty(self, kind: int) -> float:
         d, _ts, gap = self.state[kind]
         if self.params is None or gap is None:
             return d
         return adjust(d, gap, self.params)
 
+    def rate(self, kind: int) -> float:
+        return self.powers[kind] / self.next_difficulty(kind)
+
     @property
     def product(self) -> float:
-        return self.td_w * self.td_s
-
-    def _apply(self, kind, at: float) -> None:
-        d_new = self.next_difficulty(kind)
-        if kind is BlockKind.POW:
-            self.td_w += d_new
-        else:
-            self.td_s += d_new
-        _d, ts_prev, _gap = self.state[kind]
-        self.state[kind] = [d_new, at, at - ts_prev]
+        return self.weights[0] * self.weights[1]
 
     def run(self, horizon: float, rng, trajectory: Optional[list] = None) -> None:
-        now = 0.0
-        while True:
-            rate_w = self.hash_power / self.next_difficulty(BlockKind.POW)
-            rate_s = self.stake_power / self.next_difficulty(BlockKind.POS)
-            dt_w = rng.expovariate(rate_w) if rate_w > 0 else math.inf
-            dt_s = rng.expovariate(rate_s) if rate_s > 0 else math.inf
-            dt = min(dt_w, dt_s)
-            if not math.isfinite(dt) or now + dt > horizon:
-                return
-            now += dt
-            self._apply(BlockKind.POW if dt_w <= dt_s else BlockKind.POS, now)
+        rates = [self.rate(0), self.rate(1)]
+        for now, kind in _race(rng, rates, horizon):
+            d_new = self.next_difficulty(kind)
+            self.weights[kind] += d_new
+            self.state[kind] = [d_new, now, now - self.state[kind][1]]
+            if self.params is not None:
+                rates[kind] = self.rate(kind)
             if trajectory is not None:
                 trajectory.append((now, self.product))
 
@@ -247,18 +265,11 @@ def double_spend_win_rate(
     rng_seed: int = 1,
 ) -> Tuple[float, List[AttackOutcome]]:
     """Seeded Monte Carlo over ``trials`` private double-spend races."""
-    if trials <= 0:
-        raise ValueError("trials must be positive")
-    outcomes = []
-    for trial in range(trials):
-        outcomes.append(
-            run_private_double_spend(
-                config, setup, rng_seed=rng_seed * 1_000_003 + trial,
-                record_trajectory=False,
-            )
-        )
-    wins = sum(1 for o in outcomes if o.attacker_won)
-    return wins / trials, outcomes
+    return _seeded_trials(
+        lambda seed: run_private_double_spend(config, setup, rng_seed=seed,
+                                              record_trajectory=False),
+        trials, rng_seed,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +295,6 @@ def run_long_range_attack(
     depth: int,
     attacker_stake_share: float,
     rng_seed: int = 1,
-    compound_rewards: bool = False,
     report: Optional[SimReport] = None,
 ) -> AttackOutcome:
     """Replay history from ``depth`` blocks below the tip using old stake keys.
@@ -297,10 +307,6 @@ def run_long_range_attack(
     the outcome records whether the replay's product ever strictly exceeded
     the honest chain's final product.  The trajectory additionally tracks the
     honest product at matching past timestamps for plotting.
-
-    With ``compound_rewards`` the attacker locks every block reward, growing
-    voting power after the maturation lag; this probes whether gradually
-    accumulated stake changes the verdict.
     """
     if not 0.0 <= attacker_stake_share <= 1.0:
         raise ValueError("attacker_stake_share must be in [0, 1]")
@@ -349,18 +355,16 @@ def run_long_range_attack(
     pos_history = [b for b in chain[: fork_index + 1] if b.kind is BlockKind.POS]
     params = config.difficulty_params
     if len(pos_history) >= 2:
-        d_latest = pos_history[-1].difficulty
         gap = pos_history[-1].timestamp - pos_history[-2].timestamp
+        d_next = adjust(pos_history[-1].difficulty, gap, params)
     elif pos_history:
-        d_latest, gap = pos_history[-1].difficulty, None
+        d_next = pos_history[-1].difficulty
     else:
-        d_latest, gap = params.d_genesis_s, None
+        d_next = params.d_genesis_s
 
     rng = HashOracle(rng_seed).rng("lra", depth)
     td_s = fork_weight.td_s
     td_w = fork_weight.td_w
-    voting = attacker_stake
-    pending: List[Tuple[int, float]] = []  # (attacker height, reward) awaiting maturity
     forged = 0
     now = fork_block.timestamp
     final_honest = honest_products[-1]
@@ -368,23 +372,14 @@ def run_long_range_attack(
     crossing = None
     trajectory = [(now, fork_weight.product, honest_product_at(now))]
 
-    while voting > 0:
-        d_next = d_latest if gap is None else adjust(d_latest, gap, params)
-        delay = rng.expovariate(voting / d_next)
-        if now + delay > phi + config.t_future:
-            break
-        gap = delay
-        d_latest = d_next
-        now += delay
+    rates = [attacker_stake / d_next]
+    for at, _ in _race(rng, rates, phi + config.t_future, now):
         td_s += d_next
         forged += 1
-        if compound_rewards:
-            pending.append((forged, config.block_reward))
-            matured = [r for h, r in pending if forged - h >= config.maturation_height]
-            if matured:
-                voting += sum(matured)
-                pending = [(h, r) for h, r in pending
-                           if forged - h < config.maturation_height]
+        # The controller steers on the gap between the replay's own blocks.
+        d_next = adjust(d_next, at - now, params)
+        rates[0] = attacker_stake / d_next
+        now = at
         product = td_w * td_s
         ratio = product / final_honest
         if ratio > max_ratio:
@@ -405,7 +400,6 @@ def run_long_range_attack(
             "depth": depth,
             "attacker_stake_share": attacker_stake_share,
             "blocks_forged": forged,
-            "compound_rewards": compound_rewards,
             "omega_bound": lra_omega_bound(
                 report.pow_blocks,
                 max(report.pos_blocks, 1),
@@ -417,7 +411,28 @@ def run_long_range_attack(
 
 
 # ---------------------------------------------------------------------------
-# Selfish mining
+# Public-network races: selfish mining here, the public double spend in
+# ``slashing``.  Both race an attacker's and the honest miners' PoW streams
+# and the stakers' PoS stream at the configured equilibrium difficulty.
+
+ATTACKER, HONEST = 0, 1  # stream indices; the stakers' stream is 2
+
+
+def _public_race(config: SimConfig,
+                 attacker_hash_share: float) -> Tuple[float, float, List[float]]:
+    """Equilibrium ``d_w``, ``d_s`` and the rates of the three streams."""
+    total_hash = config.total_hash
+    if total_hash <= 0:
+        raise ValueError("config must include miners")
+    stake = config.total_stake
+    d_w = total_hash * 2.0 * config.t
+    d_s = stake * 2.0 * config.t if stake > 0 else math.inf
+    rates = [
+        attacker_hash_share * total_hash / d_w,
+        (1.0 - attacker_hash_share) * total_hash / d_w,
+        stake / d_s if stake > 0 else 0.0,
+    ]
+    return d_w, d_s, rates
 
 
 @dataclass
@@ -467,16 +482,7 @@ def run_selfish_mining(
     if not 0.0 <= gamma <= 1.0:
         raise ValueError("gamma must be in [0, 1]")
     horizon = duration if duration is not None else config.duration
-    total_hash = config.total_hash
-    if total_hash <= 0:
-        raise ValueError("config must include miners")
-    stake = config.total_stake
-    d_w = total_hash * 2.0 * config.t
-    d_s = stake * 2.0 * config.t if stake > 0 else math.inf
-
-    rate_att = attacker_hash_share * total_hash / d_w
-    rate_hon = (1.0 - attacker_hash_share) * total_hash / d_w
-    rate_pos = stake / d_s if stake > 0 else 0.0
+    d_w, d_s, rates = _public_race(config, attacker_hash_share)
 
     rng = HashOracle(rng_seed).rng("selfish", int(attacker_hash_share * 10**6))
 
@@ -532,26 +538,17 @@ def run_selfish_mining(
             abandons += 1
         reset_fork()
 
-    now = 0.0
-    while True:
-        dt_a = rng.expovariate(rate_att) if rate_att > 0 else math.inf
-        dt_h = rng.expovariate(rate_hon) if rate_hon > 0 else math.inf
-        dt_p = rng.expovariate(rate_pos) if rate_pos > 0 else math.inf
-        dt = min(dt_a, dt_h, dt_p)
-        if not math.isfinite(dt) or now + dt > horizon:
-            break
-        now += dt
-
+    for _, stream in _race(rng, rates, horizon):
         if racing:
-            if dt == dt_a:
+            if stream == ATTACKER:
                 # Attacker extends the published fork and takes the race.
                 reveal(extra_pow=1)
-            elif dt == dt_h and rng.random() < gamma:
+            elif stream == HONEST and rng.random() < gamma:
                 # An honest miner decides the race on the attacker's branch.
                 honest_pow += 1
                 pub_w += d_w
                 reveal()
-            elif dt == dt_h:
+            elif stream == HONEST:
                 # The public branch pulls ahead; the fork is dead.
                 pub_w += d_w
                 honest_pow += 1
@@ -565,11 +562,11 @@ def run_selfish_mining(
                 abandon()
             continue
 
-        if dt == dt_a:
+        if stream == ATTACKER:
             lead += 1
             continue
         # A public block lands (honest PoW or honest PoS).
-        if dt == dt_h:
+        if stream == HONEST:
             pub_w += d_w
             honest_pow += 1
             behind_pow += 1
@@ -611,7 +608,7 @@ def run_selfish_mining(
             "attack": "selfish_mining",
             "duration": horizon,
             "rng_seed": rng_seed,
-            "stake": stake,
+            "stake": config.total_stake,
             "d_w": d_w,
         },
     )

@@ -50,9 +50,6 @@ class Block:
     height: int
     producer: Optional[int]
     seed: Optional[Digest] = None
-    state_root: int = 0
-    tx_root: int = 0
-    txs: tuple = ()
     provenance: str = "honest"
 
 
@@ -116,8 +113,7 @@ class BlockTree:
     """All known blocks of one node's view, plus the canonical tip.
 
     ``rule`` supplies the expected difficulty for a new block given its parent
-    context; imports carrying any other difficulty are invalid.  Scripted
-    scenarios may pass a rule that skips the check.
+    context; imports carrying any other difficulty are invalid.
     """
 
     def __init__(self, genesis: Block, rule, base_weight: Tuple[float, float] = (1.0, 1.0)):
@@ -189,7 +185,7 @@ class BlockTree:
             return self.nodes[self.genesis_id].block
         return self.nodes[anchor].block
 
-    def expected_difficulty(self, parent_id: int, kind: BlockKind) -> Optional[float]:
+    def expected_difficulty(self, parent_id: int, kind: BlockKind) -> float:
         return self.rule.expected(self, parent_id, kind)
 
     def fork_choice(self) -> int:
@@ -230,8 +226,7 @@ class BlockTree:
         parent = self.nodes[block.parent_id]
         if block.height != parent.block.height + 1:
             return ImportResult.INVALID
-        expected = self.expected_difficulty(block.parent_id, block.kind)
-        if expected is not None and block.difficulty != expected:
+        if block.difficulty != self.expected_difficulty(block.parent_id, block.kind):
             return ImportResult.INVALID
         if block.timestamp > local_clock + t_future:
             # Too far ahead of this node's clock; not stored, may come back.
@@ -275,9 +270,6 @@ class BlockTree:
         chain = self.path_to_genesis(self.canonical_tip)
         chain.reverse()
         return chain
-
-    def canonical_ids(self) -> set:
-        return {b.id for b in self.path_to_genesis(self.canonical_tip)}
 
     def dump_rows(self) -> Iterator[dict]:
         """One plain dict per block, in arrival order, genesis first."""

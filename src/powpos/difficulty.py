@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
     from .chain import BlockKind, BlockTree
@@ -91,7 +91,7 @@ class AdaptiveRule:
     def __init__(self, params: DifficultyParams):
         self.params = params
 
-    def expected(self, tree: "BlockTree", parent_id: int, kind: "BlockKind") -> Optional[float]:
+    def expected(self, tree: "BlockTree", parent_id: int, kind: "BlockKind") -> float:
         latest, previous = tree.last_two_of_kind(parent_id, kind)
         if latest is None or previous is None:
             return self.params.genesis_difficulty(kind)
@@ -110,16 +110,7 @@ class FrozenRule:
         self.d_w = d_w
         self.d_s = d_s
 
-    def expected(self, tree: "BlockTree", parent_id: int, kind: "BlockKind") -> Optional[float]:
+    def expected(self, tree: "BlockTree", parent_id: int, kind: "BlockKind") -> float:
         from .chain import BlockKind
 
         return self.d_w if kind is BlockKind.POW else self.d_s
-
-
-class FreeRule:
-    """No difficulty validation; scripted scenarios assign weights directly."""
-
-    __slots__ = ()
-
-    def expected(self, tree: "BlockTree", parent_id: int, kind: "BlockKind") -> Optional[float]:
-        return None

@@ -94,8 +94,6 @@ def pos_eligibility(
     assert anchor.seed is not None
     signed = oracle.sign_seed(anchor.seed, staker.key.sk)
     difficulty = tree.expected_difficulty(parent_id, BlockKind.POS)
-    if difficulty is None:
-        raise EligibilityError("chain context does not define a stake difficulty")
     delay = pos_delay(oracle, signed, difficulty, voting_power)
     return PosEligibility(
         seed=signed,
@@ -122,7 +120,6 @@ def forge_pos_block(
     staker: StakerContext,
     voting_power: float,
     now: Optional[float] = None,
-    txs: tuple = (),
     provenance: str = "honest",
 ) -> Block:
     """Build the staker's PoS block on ``parent_id``.
@@ -149,7 +146,6 @@ def forge_pos_block(
         height=height,
         producer=staker.account,
         seed=slot.seed,
-        txs=txs,
         provenance=provenance,
     )
 
@@ -160,7 +156,6 @@ def build_pow_block(
     parent_id: int,
     miner: MinerContext,
     solved_at: float,
-    txs: tuple = (),
     provenance: str = "honest",
 ) -> Block:
     """Build the miner's PoW block on ``parent_id``, stamped at solve time.
@@ -169,8 +164,6 @@ def build_pow_block(
     importing such a block simply lands it on a side chain.
     """
     difficulty = tree.expected_difficulty(parent_id, BlockKind.POW)
-    if difficulty is None:
-        raise ValueError("chain context does not define a work difficulty")
     parent = tree.block(parent_id)
     height = parent.height + 1
     return Block(
@@ -183,7 +176,6 @@ def build_pow_block(
         height=height,
         producer=miner.account,
         seed=None,
-        txs=txs,
         provenance=provenance,
     )
 

@@ -16,40 +16,11 @@ argument.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Union
+from typing import Dict, List
 
 
 class LedgerError(ValueError):
     pass
-
-
-@dataclass(frozen=True, slots=True)
-class Transfer:
-    sender: int
-    recipient: int
-    amount: float
-
-
-@dataclass(frozen=True, slots=True)
-class Lock:
-    account: int
-    amount: float
-
-
-@dataclass(frozen=True, slots=True)
-class Unlock:
-    account: int
-    amount: float
-
-
-Transaction = Union[Transfer, Lock, Unlock]
-
-
-@dataclass(frozen=True, slots=True)
-class TxRejection:
-    index: int
-    tx: Transaction
-    reason: str
 
 
 @dataclass(slots=True)
@@ -178,23 +149,6 @@ class Ledger:
                     kept.append(bucket)
             acct.withdrawing = kept
         return amount - remaining
-
-    def apply_transactions(self, txs, height: int) -> List[TxRejection]:
-        """Apply in order; a failing transaction is recorded and skipped."""
-        rejections: List[TxRejection] = []
-        for index, tx in enumerate(txs):
-            try:
-                if isinstance(tx, Transfer):
-                    self.transfer(tx.sender, tx.recipient, tx.amount, height)
-                elif isinstance(tx, Lock):
-                    self.lock(tx.account, tx.amount, height)
-                elif isinstance(tx, Unlock):
-                    self.unlock(tx.account, tx.amount, height)
-                else:
-                    raise LedgerError(f"unknown transaction type {type(tx).__name__}")
-            except LedgerError as exc:
-                rejections.append(TxRejection(index, tx, str(exc)))
-        return rejections
 
     # -- queries ---------------------------------------------------------
 

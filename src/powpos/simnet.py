@@ -96,6 +96,8 @@ class LatencyModel:
     def validate(self) -> None:
         if self.kind not in ("perfect", "fixed", "uniform"):
             raise ConfigError(f"unknown latency kind {self.kind!r}")
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+            raise ConfigError("latency bounds must be finite")
         if self.lo < 0 or self.hi < self.lo:
             raise ConfigError("latency bounds must satisfy 0 <= lo <= hi")
 
@@ -138,7 +140,17 @@ class SimConfig:
     slashing: str = "off"
 
     def validate(self) -> None:
-        problems = []
+        # NaN fails every comparison below, so non-finite values are caught
+        # first and explicitly.
+        problems = [
+            f"{name} must be finite"
+            for name in ("t", "alpha", "duration", "maturation_height",
+                         "withdrawal_height", "t_future", "block_reward",
+                         "d_genesis_w", "d_genesis_s", "d_min")
+            if not math.isfinite(getattr(self, name))
+        ]
+        if not all(math.isfinite(v) for _, v in self.stakers + self.miners):
+            problems.append("stakes and hash powers must be finite")
         if self.t <= 0:
             problems.append("t must be positive")
         if self.alpha <= 0:
@@ -176,10 +188,10 @@ class SimConfig:
         elif mode == "dunkle":
             parts = self.slashing.split(":")
             try:
-                if len(parts) != 2 or float(parts[1]) < 0:
+                if len(parts) != 2 or not 0 < float(parts[1]) < math.inf:
                     raise ValueError
             except ValueError:
-                problems.append("dunkle slashing needs a non-negative multiple, dunkle:N")
+                problems.append("dunkle slashing needs a finite positive multiple, dunkle:N")
         if problems:
             raise ConfigError("; ".join(problems))
 

@@ -29,6 +29,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from .attacks import ATTACKER, HONEST, _public_race, _race, _seeded_trials
 from .crypto import HashOracle
 from .ledger import Ledger
 from .simnet import SimConfig
@@ -271,16 +272,8 @@ def run_public_double_spend(
     """
     if not 0.0 <= attacker_hash_share <= 1.0:
         raise ValueError("attacker_hash_share must be in [0, 1]")
-    total_hash = config.total_hash
-    stake = config.total_stake
-    if total_hash <= 0:
-        raise ValueError("config must include miners")
+    d_w, d_s, rates = _public_race(config, attacker_hash_share)
     horizon = duration if duration is not None else config.duration
-    d_w = total_hash * 2.0 * config.t
-    d_s = stake * 2.0 * config.t if stake > 0 else math.inf
-    rate_att = attacker_hash_share * total_hash / d_w
-    rate_hon = (1.0 - attacker_hash_share) * total_hash / d_w
-    rate_pos = stake / d_s if stake > 0 else 0.0
 
     rng = HashOracle(rng_seed).rng("public-double-spend")
 
@@ -289,7 +282,6 @@ def run_public_double_spend(
     att_pow = hon_pow = 0
     pos_att = pos_hon = 0
     crossing = None
-    now = 0.0
 
     # Round-robin staker attribution weighted by stake, for settlement.
     staker_cycle: List[int] = []
@@ -305,18 +297,11 @@ def run_public_double_spend(
         forge_index += 1
         return account
 
-    while True:
-        dt_a = rng.expovariate(rate_att) if rate_att > 0 else math.inf
-        dt_h = rng.expovariate(rate_hon) if rate_hon > 0 else math.inf
-        dt_p = rng.expovariate(rate_pos) if rate_pos > 0 else math.inf
-        dt = min(dt_a, dt_h, dt_p)
-        if not math.isfinite(dt) or now + dt > horizon:
-            break
-        now += dt
-        if dt == dt_a:
+    for now, stream in _race(rng, rates, horizon):
+        if stream == ATTACKER:
             att_w += d_w
             att_pow += 1
-        elif dt == dt_h:
+        elif stream == HONEST:
             hon_w += d_w
             hon_pow += 1
         else:
@@ -346,7 +331,7 @@ def run_public_double_spend(
 
     attacker_won = att_w * att_s > hon_w * hon_s
     net = None
-    if dunkle_n is not None and stake > 0:
+    if dunkle_n is not None and config.total_stake > 0:
         # Winners earn R per block on the surviving branch and pay n*R per
         # block signed on the losing one.
         reward = config.block_reward
@@ -385,17 +370,12 @@ def public_double_spend_win_rate(
     rng_seed: int = 1,
     duration: Optional[float] = None,
 ) -> Tuple[float, List[PublicDoubleSpendOutcome]]:
-    if trials <= 0:
-        raise ValueError("trials must be positive")
-    outcomes = [
-        run_public_double_spend(
-            config, staker_policy, attacker_hash_share,
-            rng_seed=rng_seed * 1_000_003 + i, duration=duration,
-        )
-        for i in range(trials)
-    ]
-    rate = sum(1 for o in outcomes if o.attacker_won) / trials
-    return rate, outcomes
+    return _seeded_trials(
+        lambda seed: run_public_double_spend(
+            config, staker_policy, attacker_hash_share, rng_seed=seed, duration=duration,
+        ),
+        trials, rng_seed,
+    )
 
 
 # ---------------------------------------------------------------------------

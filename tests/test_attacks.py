@@ -40,6 +40,44 @@ def make_setup(**overrides):
     return AttackSetup(**base)
 
 
+class ScriptedRng:
+    """Returns scripted delays and records the rate of every draw."""
+
+    def __init__(self, delays):
+        self.delays = list(delays)
+        self.rates = []
+
+    def expovariate(self, rate):
+        self.rates.append(rate)
+        return self.delays.pop(0)
+
+
+# -- race kernel -----------------------------------------------------------
+
+
+def test_race_kernel_ties_zero_rates_and_strict_horizon():
+    # Round 1 ties at 1.5 (lowest index wins); round 2 lands exactly on the
+    # horizon, which still fires; round 3 would pass it and ends the race.
+    rng = ScriptedRng([1.5, 1.5, 4.0, 0.5, 1.0, 1.0])
+    events = list(attacks._race(rng, [2.0, 0.0, 3.0], horizon=2.0))
+    assert events == [(1.5, 0), (2.0, 2)]
+    # The zero-rate stream never draws; the others draw once per round.
+    assert rng.rates == [2.0, 3.0] * 3
+    assert rng.delays == []
+    assert list(attacks._race(ScriptedRng([]), [0.0, 0.0], horizon=100.0)) == []
+
+
+def test_race_kernel_reads_rates_between_events():
+    rng = ScriptedRng([0.5, 0.25, 1.0])
+    rates = [1.0]
+    race = attacks._race(rng, rates, horizon=5.0, now=4.0)
+    assert next(race) == (4.5, 0)
+    rates[0] = 7.0
+    assert next(race) == (4.75, 0)
+    assert list(race) == []
+    assert rng.rates == [1.0, 7.0, 7.0]
+
+
 # -- setup and feasibility -------------------------------------------------
 
 
@@ -116,6 +154,25 @@ def test_private_double_spend_without_trajectory():
     assert outcome.crossing_time is None
 
 
+def test_private_double_spend_regression_pins():
+    # Exact values for one seed, frozen and live difficulty; any drift in the
+    # race kernel or the RNG layout shows up here.
+    setup = make_setup(attacker_hash=20.0, attacker_stake=200.0,
+                       honest_hash=18.0, honest_stake=180.0)
+    pins = {
+        False: (58102272000.0, 40159584000.0, 4.4352),
+        True: (58112926070.23554, 40122429896.13559, 4.448576),
+    }
+    for live, (attacker, honest, ratio) in pins.items():
+        outcome = run_private_double_spend(baseline_config(), setup, rng_seed=11,
+                                           live_difficulty=live)
+        assert outcome.final_attacker_product == pytest.approx(attacker, rel=1e-12)
+        assert outcome.final_honest_product == pytest.approx(honest, rel=1e-12)
+        assert outcome.crossing_time == pytest.approx(6.902330650517997, rel=1e-9)
+        assert outcome.max_product_ratio == pytest.approx(ratio, rel=1e-9)
+        assert outcome.attacker_won
+
+
 def test_win_rate_grows_with_power():
     config = baseline_config()
     strong = make_setup(
@@ -173,15 +230,19 @@ def test_long_range_depth_zero_is_a_stake_only_race(quick_report):
     assert not outcome.attacker_won
 
 
-def test_long_range_compound_rewards_do_not_flip_verdict(quick_report):
-    config = quick_report.config
+def test_long_range_regression_pins(quick_report):
+    # Exact replays at half depth on the quick chain; the replay's live
+    # difficulty controller and horizon cut both show up in these numbers.
     depth = quick_report.total_blocks // 2
-    outcome = run_long_range_attack(
-        config, depth, attacker_stake_share=1.0, rng_seed=1,
-        compound_rewards=True, report=quick_report,
-    )
-    assert outcome.meta["compound_rewards"] is True
-    assert not outcome.attacker_won
+    pins = {0: (912, 0.19543191930284515), 1: (876, 0.19695942341415684),
+            2: (916, 0.18095182185196254)}
+    for seed, (forged, ratio) in pins.items():
+        outcome = run_long_range_attack(
+            quick_report.config, depth, attacker_stake_share=1.0, rng_seed=seed,
+            report=quick_report,
+        )
+        assert outcome.meta["blocks_forged"] == forged
+        assert outcome.max_product_ratio == pytest.approx(ratio, rel=1e-9)
 
 
 def test_long_range_input_validation(quick_report):

@@ -73,7 +73,6 @@ def test_wrong_difficulty_is_invalid():
         id=good.id + 1, parent_id=good.parent_id, kind=good.kind,
         difficulty=good.difficulty * 2.0, timestamp=good.timestamp,
         height=good.height, producer=good.producer, seed=good.seed,
-        state_root=good.state_root, tx_root=good.tx_root, txs=good.txs,
         provenance=good.provenance,
     )
     assert tree.import_block(bad, 1.0, 10.0) is ImportResult.INVALID
@@ -85,8 +84,7 @@ def test_unknown_parent_is_invalid():
     orphan = Block(
         id=b.id + 99, parent_id=123456789, kind=b.kind, difficulty=b.difficulty,
         timestamp=b.timestamp, height=b.height, producer=b.producer,
-        seed=b.seed, state_root=b.state_root, tx_root=b.tx_root, txs=b.txs,
-        provenance=b.provenance,
+        seed=b.seed, provenance=b.provenance,
     )
     assert tree.import_block(orphan, 1.0, 10.0) is ImportResult.INVALID
 

@@ -80,6 +80,14 @@ def test_simulate_cli_overrides(tmp_path, cfg_path, capsys):
     )
 
 
+def test_simulate_rejects_zero_dunkle_multiple(tmp_path, cfg_path, capsys):
+    code = cli.main(["simulate", "--config", cfg_path, "--slashing", "dunkle:0",
+                     "--out", str(tmp_path / "artifacts")])
+    assert code == cli.EXIT_CONFIG
+    assert "dunkle:N" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "artifacts")
+
+
 def test_stats_recomputes_from_dump(tmp_path, cfg_path, capsys):
     outdir = str(tmp_path / "artifacts")
     cli.main(["simulate", "--config", cfg_path, "--out", outdir])

@@ -1,18 +1,11 @@
-"""Stake lifecycle accounting: maturation, withdrawal, penalties, tx batches."""
+"""Stake lifecycle accounting: maturation, withdrawal, penalties."""
 
 import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from powpos.ledger import (
-    Ledger,
-    LedgerError,
-    Lock,
-    Transfer,
-    TxRejection,
-    Unlock,
-)
+from powpos.ledger import Ledger, LedgerError
 import powpos
 
 
@@ -124,59 +117,6 @@ def test_penalize_debits_liquid_then_active_then_withdrawing():
     assert led.total_balance(1) == 0.0
     with pytest.raises(LedgerError):
         led.penalize(1, -1.0, height=1)
-
-
-def test_apply_transactions_skips_failures_and_records_them():
-    led = Ledger(maturation=10, withdrawal=10)
-    led.credit(1, 10.0)
-    txs = [
-        Lock(1, 4.0),
-        Lock(1, 100.0),  # overdraw
-        Transfer(1, 2, 6.0),
-        Unlock(2, 1.0),  # account 2 has no active stake
-        "bogus",
-    ]
-    rejections = led.apply_transactions(txs, height=0)
-    assert [r.index for r in rejections] == [1, 3, 4]
-    assert all(isinstance(r, TxRejection) for r in rejections)
-    assert "insufficient liquid" in rejections[0].reason
-    assert "unknown transaction type" in rejections[2].reason
-    assert led.liquid_at(2, 0) == 6.0
-    assert led.voting_power(1, 10) == 4.0
-
-
-def test_apply_transactions_matches_single_op_replay():
-    def fresh():
-        led = Ledger(maturation=5, withdrawal=5)
-        led.credit(1, 20.0)
-        led.grant_active(2, 15.0)
-        return led
-
-    txs = [
-        Lock(1, 12.0),
-        Transfer(1, 3, 8.0),
-        Transfer(1, 3, 1.0),  # now empty
-        Unlock(2, 15.0),
-        Unlock(2, 1.0),  # now empty
-        Lock(3, 8.0),
-    ]
-    batch = fresh()
-    rejections = batch.apply_transactions(txs, height=4)
-
-    replay = fresh()
-    expected_rejected = []
-    for index, tx in enumerate(txs):
-        try:
-            if isinstance(tx, Transfer):
-                replay.transfer(tx.sender, tx.recipient, tx.amount, 4)
-            elif isinstance(tx, Lock):
-                replay.lock(tx.account, tx.amount, 4)
-            else:
-                replay.unlock(tx.account, tx.amount, 4)
-        except LedgerError:
-            expected_rejected.append(index)
-    assert [r.index for r in rejections] == expected_rejected
-    assert batch.snapshot() == replay.snapshot()
 
 
 def test_queries_on_absent_account_are_zero():

@@ -65,6 +65,31 @@ def test_validate_rejects_bad_slashing_specs():
     baseline_config(slashing="evidence").validate()
 
 
+NON_FINITE_OR_ZERO_DUNKLE = {
+    "t-nan": {"t": math.nan},
+    "alpha-nan": {"alpha": math.nan},
+    "duration-inf": {"duration": math.inf},
+    "t_future-nan": {"t_future": math.nan},
+    "block_reward-inf": {"block_reward": math.inf},
+    "d_min-inf": {"d_min": math.inf},
+    "stake-nan": {"stakers": ((0, math.nan),)},
+    "hash-inf": {"miners": ((10, math.inf),)},
+    "fixed-nan": {"latency": LatencyModel.parse("fixed:nan")},
+    "fixed-inf": {"latency": LatencyModel.parse("fixed:inf")},
+    "uniform-inf": {"latency": LatencyModel.parse("uniform:0:inf")},
+    "dunkle-0": {"slashing": "dunkle:0"},
+    "dunkle-inf": {"slashing": "dunkle:inf"},
+    "dunkle-nan": {"slashing": "dunkle:nan"},
+}
+
+
+@pytest.mark.parametrize("overrides", list(NON_FINITE_OR_ZERO_DUNKLE.values()),
+                         ids=list(NON_FINITE_OR_ZERO_DUNKLE))
+def test_validate_rejects_non_finite_values_and_zero_dunkle(overrides):
+    with pytest.raises(ConfigError):
+        baseline_config(**overrides).validate()
+
+
 def test_latency_model_parse_and_spec_round_trip():
     for spec, model in [
         ("perfect", LatencyModel.perfect()),

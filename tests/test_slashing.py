@@ -214,6 +214,30 @@ def test_staker_policy_decides_the_public_fork():
     assert honest.final_honest_product > honest.final_attacker_product
 
 
+def test_public_double_spend_regression_pins():
+    # Exact counts, products and settlements per policy on one seed; the
+    # three streams (attacker PoW, honest PoW, PoS) share one draw sequence.
+    config = baseline_config()
+    stake_weighted = {0: 480.0, 1: 167.0, 2: 80.0, 3: 60.0, 4: 40.0}
+    stake_weighted.update({account: 20.0 for account in range(5, 10)})
+    pins = {
+        StakerPolicy.SUPPORT_BOTH: (3212618701201.0, 1948991449841.0, 927, 927,
+                                    {a: -v for a, v in stake_weighted.items()}),
+        StakerPolicy.HONEST_ONLY: (456001.0, 1948991449841.0, 0, 927, stake_weighted),
+        StakerPolicy.FOLLOW_HASH_POWER: (3191825055601.0, 12615106241.0, 921, 6,
+                                         {**stake_weighted, 0: 462.0}),
+    }
+    for policy, (attacker, honest, pos_att, pos_hon, net) in pins.items():
+        outcome = run_public_double_spend(config, policy, 0.6, rng_seed=3,
+                                          duration=20_000.0, dunkle_n=2.0)
+        assert (outcome.attacker_pow, outcome.honest_pow) == (600, 364)
+        assert (outcome.pos_on_attacker, outcome.pos_on_honest) == (pos_att, pos_hon)
+        assert outcome.final_attacker_product == attacker
+        assert outcome.final_honest_product == honest
+        assert outcome.crossing_time == pytest.approx(9.594935153354523, rel=1e-9)
+        assert outcome.dunkle_net == net
+
+
 def test_public_fork_win_rates_are_decisive():
     config = baseline_config()
     rate_honest, outcomes = public_double_spend_win_rate(
