@@ -48,15 +48,17 @@ class AttackSetup:
 
     def __post_init__(self):
         for name in ("attacker_hash", "attacker_stake", "honest_hash",
-                     "honest_stake", "td_wc", "td_sc"):
-            if getattr(self, name) < 0:
+                     "honest_stake", "td_wc", "td_sc", "horizon"):
+            value = getattr(self, name)
+            # A NaN or infinite horizon would never reach the race's cut.
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite")
+            if value < 0:
                 raise ValueError(f"{name} must be non-negative")
         if self.attacker_hash + self.honest_hash <= 0:
             raise ValueError("total hash power must be positive")
         if self.attacker_stake + self.honest_stake <= 0:
             raise ValueError("total stake must be positive")
-        if self.horizon < 0:
-            raise ValueError("horizon must be non-negative")
 
 
 @dataclass
@@ -418,9 +420,13 @@ def run_long_range_attack(
 ATTACKER, HONEST = 0, 1  # stream indices; the stakers' stream is 2
 
 
-def _public_race(config: SimConfig,
-                 attacker_hash_share: float) -> Tuple[float, float, List[float]]:
-    """Equilibrium ``d_w``, ``d_s`` and the rates of the three streams."""
+def _public_race(config: SimConfig, attacker_hash_share: float,
+                 duration: Optional[float]) -> Tuple[float, float, List[float], float]:
+    """Equilibrium ``d_w``, ``d_s``, the rates of the three streams, and the
+    horizon: ``duration``, else the config's, which must be finite."""
+    horizon = duration if duration is not None else config.duration
+    if not math.isfinite(horizon):
+        raise ValueError("duration must be finite")
     total_hash = config.total_hash
     if total_hash <= 0:
         raise ValueError("config must include miners")
@@ -432,7 +438,7 @@ def _public_race(config: SimConfig,
         (1.0 - attacker_hash_share) * total_hash / d_w,
         stake / d_s if stake > 0 else 0.0,
     ]
-    return d_w, d_s, rates
+    return d_w, d_s, rates, horizon
 
 
 @dataclass
@@ -481,8 +487,7 @@ def run_selfish_mining(
         raise ValueError("attacker_hash_share must be in [0, 1]")
     if not 0.0 <= gamma <= 1.0:
         raise ValueError("gamma must be in [0, 1]")
-    horizon = duration if duration is not None else config.duration
-    d_w, d_s, rates = _public_race(config, attacker_hash_share)
+    d_w, d_s, rates, horizon = _public_race(config, attacker_hash_share, duration)
 
     rng = HashOracle(rng_seed).rng("selfish", int(attacker_hash_share * 10**6))
 

@@ -14,6 +14,19 @@ ancestor for difficulty retargeting, so both kinds bootstrap symmetrically.
 The tree keeps side branches and orphaned blocks: misbehavior detection needs
 them after the fact.  Rejected-as-future blocks are not stored; the caller may
 re-deliver them once its clock catches up.
+
+Fork choice is kept current one import at a time.  Invariant: the canonical
+tip is the tip with the largest product, the earliest arrival among equal
+products.  An import removes at most its parent from the tips and adds itself,
+the latest arrival, so the new block becomes the tip exactly when its product
+is strictly greater than the old tip's.  The one case this cannot decide is a
+child of the tip whose product did not grow in floating point (a tiny
+difficulty absorbed by a huge weight): an older tip tied with the parent may
+then win, and the import falls back to :meth:`BlockTree.fork_choice`, the
+full scan over all tips that is also the reference the tests compare with.
+
+A node's ancestry never changes after insertion, so the expected difficulty
+of each kind of child is computed once per node and memoised on it.
 """
 
 from __future__ import annotations
@@ -91,6 +104,9 @@ class TreeNode:
     # None when no such ancestor exists (genesis matches neither kind).
     pow_anchor: Optional[int] = None
     pos_anchor: Optional[int] = None
+    # Expected difficulty of a PoW / PoS child, filled on first use.
+    pow_expected: Optional[float] = None
+    pos_expected: Optional[float] = None
 
 
 def make_genesis(oracle: HashOracle, timestamp: float = 0.0) -> Block:
@@ -186,10 +202,25 @@ class BlockTree:
         return self.nodes[anchor].block
 
     def expected_difficulty(self, parent_id: int, kind: BlockKind) -> float:
-        return self.rule.expected(self, parent_id, kind)
+        """The difficulty a ``kind`` child of ``parent_id`` must carry.
+
+        Memoised per node; the rule must be a pure function of ancestry.
+        """
+        node = self.nodes[parent_id]
+        if kind is BlockKind.POW:
+            if node.pow_expected is None:
+                node.pow_expected = self.rule.expected(self, parent_id, kind)
+            return node.pow_expected
+        if node.pos_expected is None:
+            node.pos_expected = self.rule.expected(self, parent_id, kind)
+        return node.pos_expected
 
     def fork_choice(self) -> int:
-        """Tip maximizing the weight product; exact ties go to first seen."""
+        """Tip maximizing the weight product; exact ties go to first seen.
+
+        A full scan of the tips: ``import_block`` keeps ``canonical_tip``
+        equal to it incrementally and calls it only when it cannot decide.
+        """
         best_id = None
         best_product = -math.inf
         best_arrival = math.inf
@@ -246,9 +277,12 @@ class BlockTree:
         self.tips[block.id] = None
 
         old_tip = self.canonical_tip
-        new_tip = self.fork_choice()
-        self.canonical_tip = new_tip
-        if new_tip == block.id:
+        if node.weight.product > self.nodes[old_tip].weight.product:
+            self.canonical_tip = block.id
+        elif block.parent_id == old_tip:
+            # The product did not grow: a tip tied with the parent may win.
+            self.canonical_tip = self.fork_choice()
+        if self.canonical_tip == block.id:
             if block.parent_id == old_tip:
                 return ImportResult.EXTENDED_CANONICAL
             return ImportResult.REORG

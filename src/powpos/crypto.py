@@ -13,6 +13,7 @@ the smallest positive unit so that ``ln(unit)`` stays finite.
 
 from __future__ import annotations
 
+import hashlib
 import random
 import struct
 from dataclasses import dataclass
@@ -94,16 +95,16 @@ class HashOracle:
     identical runs get identical ones.
     """
 
-    __slots__ = ("run_seed", "_key")
+    __slots__ = ("run_seed", "_keyed")
 
     def __init__(self, run_seed: int):
         self.run_seed = int(run_seed)
-        self._key = (self.run_seed % (1 << 128)).to_bytes(16, "big")
+        key = (self.run_seed % (1 << 128)).to_bytes(16, "big")
+        # Keyed once; every call hashes into a copy of this fresh state.
+        self._keyed = hashlib.blake2b(key=key, digest_size=32)
 
     def hash(self, *parts: Hashable) -> Digest:
-        import hashlib
-
-        h = hashlib.blake2b(key=self._key, digest_size=32)
+        h = self._keyed.copy()
         for part in parts:
             h.update(_encode_part(part))
         return Digest(int.from_bytes(h.digest(), "big"))

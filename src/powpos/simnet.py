@@ -11,10 +11,16 @@ broken by insertion order, mining solve times come from per-miner RNG
 streams, and forging delays are pure functions of chain state, so a run is
 a deterministic function of its configuration.
 
-Scale note: the flagship configuration (ten miners, ten stakers, thirty
-simulated days, a quarter million blocks) is expected to finish in minutes;
-latency-model runs fan every block out to every replica and are meant for
-shorter horizons.
+Scale note: a refresh reads the tip's context (difficulties, seed anchor,
+height) once for all producers bound to a view, each tree memoises expected
+difficulty per node, and fork choice is updated per import rather than
+rescanned, so neither grows with the number of producers or tips; only the
+re-arming of each producer does.  The flagship
+configuration (ten miners, ten stakers, thirty simulated days, a quarter
+million blocks) takes under a minute.  Latency-model runs deliver every
+block to every replica, one event per replica, so a block costs about one
+import per replica; the cost per stored block does not grow with the
+horizon.
 """
 
 from __future__ import annotations
@@ -421,28 +427,28 @@ class _Engine:
         """Re-arm production for every participant bound to ``view``."""
         if now > self.config.duration:
             return
-        tip = view.tree.canonical_tip
+        tree = view.tree
+        tip = tree.canonical_tip
+        d_w = tree.expected_difficulty(tip, BlockKind.POW)
+        d_s = tree.expected_difficulty(tip, BlockKind.POS)
+        anchor_id = tree.seed_anchor(tip).id
+        height = tree.block(tip).height
         for p in self.by_view.get(view.index, ()):
             if p.miner is not None:
-                d_w = view.tree.expected_difficulty(tip, BlockKind.POW)
                 wait = pow_solve_time(p.miner, d_w, p.rng)
                 p.epoch += 1
                 p.event_live = True
                 self._push(now + wait, "pow", (p.index, p.epoch))
             else:
-                anchor = view.tree.seed_anchor(tip)
-                d_s = view.tree.expected_difficulty(tip, BlockKind.POS)
                 if (
                     p.event_live
                     and p.slot is not None
-                    and p.slot.anchor_id == anchor.id
+                    and p.slot.anchor_id == anchor_id
                     and p.slot.difficulty == d_s
                 ):
                     continue  # context unchanged, pending slot still valid
-                power = self.ledger.voting_power(
-                    p.staker.account, view.tree.block(tip).height
-                )
-                slot = pos_eligibility(self.oracle, view.tree, tip, p.staker, power)
+                power = self.ledger.voting_power(p.staker.account, height)
+                slot = pos_eligibility(self.oracle, tree, tip, p.staker, power)
                 p.slot = slot
                 p.epoch += 1
                 if math.isfinite(slot.eligible_at):

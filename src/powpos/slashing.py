@@ -272,8 +272,7 @@ def run_public_double_spend(
     """
     if not 0.0 <= attacker_hash_share <= 1.0:
         raise ValueError("attacker_hash_share must be in [0, 1]")
-    d_w, d_s, rates = _public_race(config, attacker_hash_share)
-    horizon = duration if duration is not None else config.duration
+    d_w, d_s, rates, horizon = _public_race(config, attacker_hash_share, duration)
 
     rng = HashOracle(rng_seed).rng("public-double-spend")
 

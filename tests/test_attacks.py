@@ -24,6 +24,7 @@ from powpos.attacks import (
     write_attack_report,
 )
 from powpos.simnet import baseline_config, quick_config
+from powpos.slashing import StakerPolicy, run_public_double_spend
 
 
 def make_setup(**overrides):
@@ -90,6 +91,25 @@ def test_attack_setup_validation():
         make_setup(attacker_stake=0.0, honest_stake=0.0)
     with pytest.raises(ValueError, match="horizon"):
         make_setup(horizon=-1.0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("entry", [
+    "attacker_hash", "attacker_stake", "honest_hash", "honest_stake",
+    "td_wc", "td_sc", "horizon", "selfish", "selfish-config", "public",
+])
+def test_attack_lab_rejects_non_finite_inputs(entry, value):
+    # A non-finite horizon never reaches the race's cut: the call would hang.
+    with pytest.raises(ValueError, match="must be finite"):
+        if entry == "selfish":
+            run_selfish_mining(baseline_config(), 0.3, duration=value)
+        elif entry == "selfish-config":
+            run_selfish_mining(baseline_config(duration=value), 0.3)
+        elif entry == "public":
+            run_public_double_spend(baseline_config(), StakerPolicy.HONEST_ONLY,
+                                    duration=value)
+        else:
+            make_setup(**{entry: value})
 
 
 def test_double_spend_feasible_exact_arithmetic():

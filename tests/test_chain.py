@@ -5,6 +5,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from powpos import crypto, difficulty, forging
 from powpos.chain import (
@@ -130,6 +131,83 @@ def test_fork_choice_tie_prefers_first_seen():
     tree.import_block(b, 10.0, 10.0)
     tree.import_block(a, 10.0, 10.0)
     assert tree.canonical_tip == b.id  # b arrived first
+
+
+def test_absorbed_child_of_tip_defers_to_earliest_tie():
+    # A 1e-9 difficulty vanishes against a 1e10 weight, so every product is
+    # equal and the earliest-arrived tip must win, not the tip's new child.
+    oracle = crypto.HashOracle(1)
+    tree = BlockTree(make_genesis(oracle), difficulty.FrozenRule(1e-9, 1e-9),
+                     base_weight=(1e10, 1e10))
+    root = tree.canonical_tip
+    a = mine(oracle, tree, root, at=1.0, account=1)
+    b = mine(oracle, tree, root, at=2.0, account=2)
+    assert tree.import_block(a) is ImportResult.EXTENDED_CANONICAL
+    assert tree.import_block(b) is ImportResult.SIDE_CHAIN
+    c = mine(oracle, tree, a.id, at=3.0, account=1)
+    assert tree.import_block(c) is ImportResult.SIDE_CHAIN
+    assert tree.weight_product(c.id) == tree.weight_product(b.id)
+    assert tree.canonical_tip == b.id == tree.fork_choice()
+
+
+# One block per entry: which earlier block is its parent (genesis included),
+# whether it is forged rather than mined, and the clock step before it.
+TREE_SPECS = st.lists(
+    st.tuples(st.integers(0, 1000), st.booleans(), st.floats(0.0, 60.0)),
+    min_size=1, max_size=25,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=TREE_SPECS, base=st.sampled_from([1.0, 1e17]), data=st.data())
+def test_incremental_fork_choice_matches_scan(spec, base, data):
+    # A base weight of 1e17 absorbs difficulties near 1, so products tie and
+    # children of the tip exercise the fallback scan.
+    oracle = crypto.HashOracle(4)
+    params = difficulty.DifficultyParams(target_gap=20.0, alpha=0.5)
+    genesis = make_genesis(oracle)
+
+    def new_tree():
+        return BlockTree(genesis, difficulty.AdaptiveRule(params),
+                         base_weight=(base, base))
+
+    source = new_tree()
+    ids, children, clock = [genesis.id], {}, 0.0
+    for i, (pick, forged, step) in enumerate(spec):
+        parent_id = ids[pick % len(ids)]
+        clock += step  # mined timestamps rise along every path
+        if forged:
+            blk = forge(oracle, source, parent_id, account=100 + i)
+        else:
+            blk = mine(oracle, source, parent_id, at=clock, account=i)
+        assert source.import_block(blk) is not ImportResult.INVALID
+        ids.append(blk.id)
+        children.setdefault(parent_id, []).append(blk)
+
+    tree = new_tree()
+    ready = list(children.get(genesis.id, []))
+    while ready:
+        blk = ready.pop(data.draw(st.integers(0, len(ready) - 1)))
+        old_tip = tree.canonical_tip
+        result = tree.import_block(blk)
+        scan = tree.fork_choice()
+        assert tree.canonical_tip == scan
+        if scan != blk.id:
+            assert result is ImportResult.SIDE_CHAIN
+        elif blk.parent_id == old_tip:
+            assert result is ImportResult.EXTENDED_CANONICAL
+        else:
+            assert result is ImportResult.REORG
+        # Fill memos early, as the engine does, to check them at the end.
+        tree.expected_difficulty(scan, BlockKind.POW)
+        tree.expected_difficulty(scan, BlockKind.POS)
+        ready.extend(children.get(blk.id, []))
+
+    assert len(tree) == len(ids)
+    for node_id in tree.nodes:
+        for kind in (BlockKind.POW, BlockKind.POS):
+            expected = tree.rule.expected(tree, node_id, kind)
+            assert tree.expected_difficulty(node_id, kind) == expected
 
 
 def test_canonical_chain_walks_genesis_to_tip():

@@ -1,5 +1,6 @@
 """Config parsing, the event-driven run loop, and report artifacts."""
 
+import hashlib
 import json
 import math
 import os
@@ -245,6 +246,40 @@ def test_fixed_latency_run_orphans_blocks():
     # Canonical structure stays sound under delivery delay.
     chain = report.tree.canonical_chain()
     assert [b.height for b in chain] == list(range(len(chain)))
+
+
+# -- golden digests --------------------------------------------------------
+# sha256 of SimReport.to_json().  A change that moves one on purpose says why
+# and records the new value.
+
+
+def report_sha256(report):
+    return hashlib.sha256(report.to_json().encode("utf-8")).hexdigest()
+
+
+def test_quick_golden_digest(quick_report):
+    assert report_sha256(quick_report) == (
+        "04aab6406e650f0ceeb454ab3413291c9d3a29a7083b2e4036893966fb918165")
+
+
+def test_flagship_golden_digest(baseline_report):
+    assert report_sha256(baseline_report) == (
+        "2c5b73d07403f97516b81388e4c323de348e120dda4f8c058016a0bb3409deaf")
+
+
+def test_latency_golden_digest():
+    # One hour of fixed:2 latency from equilibrium difficulty: per-replica
+    # trees with side chains and reorgs, so the digest pins fork choice.
+    base = baseline_config()
+    report = powpos.run(baseline_config(
+        duration=3600.0,
+        latency=LatencyModel.fixed(2.0),
+        slashing="evidence",
+        d_genesis_w=base.total_hash * 2.0 * base.t,
+        d_genesis_s=base.total_stake * 2.0 * base.t,
+    ))
+    assert report_sha256(report) == (
+        "6e114262e2e7a4c6325fe3ffd3fcfa8ae7422fd8c557b94c8076e4a4911e01e4")
 
 
 # -- derived metrics -------------------------------------------------------
