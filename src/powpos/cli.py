@@ -7,7 +7,8 @@ Subcommands:
   difficulty.csv, blocks.jsonl).
 * ``attack``: run a named adversary scenario and emit attack_report.json.
 * ``check``: reduced-scale invariant suites for quick health checks.
-* ``stats``: recompute summary statistics from a blocks.jsonl dump.
+* ``stats``: recompute summary statistics from a blocks.jsonl dump, through
+  the same ``simnet`` summary code and gap lines as ``simulate``.
 
 Exit codes: 0 success, 1 failed check assertion, 2 bad configuration or
 arguments, 3 I/O failure.
@@ -16,13 +17,11 @@ arguments, 3 I/O failure.
 from __future__ import annotations
 
 import argparse
-import json
-import math
 import sys
 from dataclasses import replace
 from typing import List, Optional
 
-from . import attacks, simnet, slashing, stats
+from . import attacks, simnet, slashing
 from .chain import BlockKind
 
 
@@ -64,21 +63,27 @@ def _load_config(args) -> simnet.SimConfig:
     return config
 
 
+def _print_gaps(interarrivals: dict) -> None:
+    """One line per class with gaps, from its ``simnet.interarrival_summary``."""
+    for cls, info in interarrivals.items():
+        if not info["count"]:
+            continue
+        line = f"gap [{cls:>3}]   n={info['count']}"
+        if "mean" in info:
+            line += (f"  mean={info['mean']:.3f}s  std={info['std']:.3f}s  "
+                     f"ks={info['ks']:.5f} (1% crit {info['ks_critical_1pct']:.5f})")
+        print(line)
+
+
 def _print_summary(report: simnet.SimReport) -> None:
     summary = report.to_summary_dict()
     blocks = summary["blocks"]
     print(f"blocks      total={blocks['total']}  pow={blocks['pow']}  "
           f"pos={blocks['pos']}  orphaned={blocks['orphaned']}")
-    for cls in ("all", "pow", "pos"):
-        info = summary["interarrivals"][cls]
-        if "mean" in info:
-            print(f"gap [{cls:>3}]   mean={info['mean']:.3f}s  std={info['std']:.3f}s  "
-                  f"ks={info['ks']:.5f} (1% crit {info['ks_critical_1pct']:.5f})")
-    diff = summary["difficulty"]
-    ratio = diff["ratio_mean_post_warmup"]
-    ratio_text = f"{ratio:.3f}" if ratio is not None else "n/a"
-    print(f"difficulty  d_w={diff['final_w']:.3f}  d_s={diff['final_s']:.3f}  "
-          f"ratio(post-warmup)={ratio_text}")
+    _print_gaps(summary["interarrivals"])
+    diff = {k: "n/a" if v is None else f"{v:.3f}" for k, v in summary["difficulty"].items()}
+    print(f"difficulty  d_w={diff['final_w']}  d_s={diff['final_s']}  "
+          f"ratio(post-warmup)={diff['ratio_mean_post_warmup']}")
     print(f"orphans     proxy={summary['orphan_proxy'] * 100:.2f}%")
     top = sorted(report.rewards.items(), key=lambda kv: (-kv[1], kv[0]))[:5]
     shares = "  ".join(f"{a}:{v:.0f}" for a, v in top)
@@ -115,10 +120,14 @@ def _attack_config(args) -> simnet.SimConfig:
 
 def cmd_attack(args) -> int:
     try:
-        config = _attack_config(args)
-    except simnet.ConfigError as exc:
+        return _run_attack(args)
+    except ValueError as exc:  # a ConfigError, or a scenario's precondition
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+
+
+def _run_attack(args) -> int:
+    config = _attack_config(args)
     seed = args.seed if args.seed is not None else 1
     name = args.name
     payload: dict = {"attack": name, "rng_seed": seed}
@@ -254,20 +263,19 @@ def _check_poisson_merge() -> List[str]:
         d_genesis_w=probe.total_hash * 2.0 * probe.t,
         d_genesis_s=probe.total_stake * 2.0 * probe.t,
     )
-    report = simnet.run(config)
+    summary = simnet.run(config).to_summary_dict()
+    blocks, fits = summary["blocks"], summary["interarrivals"]
     failures = []
-    split = abs(report.pos_blocks - report.pow_blocks) / max(report.total_blocks, 1)
+    split = abs(blocks["pos"] - blocks["pow"]) / max(blocks["total"], 1)
     if split > 0.02:
         failures.append(f"pos/pow split off by {split * 100:.2f}% (limit 2%)")
-    fits = simnet.summarize_interarrivals(report)
-    mean = fits["all"].mean
+    mean = fits["all"]["mean"]
     if not 0.9 * config.t <= mean <= 1.15 * config.t:
         failures.append(f"combined mean gap {mean:.3f}s not near t={config.t}")
     for cls, fit in fits.items():
-        crit = stats.ks_critical(fit.sample_count)
-        if fit.ks_statistic >= crit:
+        if "ks" in fit and fit["ks"] >= fit["ks_critical_1pct"]:
             failures.append(f"{cls} gaps fail exponential KS "
-                            f"({fit.ks_statistic:.5f} >= {crit:.5f})")
+                            f"({fit['ks']:.5f} >= {fit['ks_critical_1pct']:.5f})")
     return failures
 
 
@@ -285,9 +293,9 @@ def _check_difficulty_convergence() -> List[str]:
     config = simnet.baseline_config(duration=2 * 86_400.0)
     report = simnet.run(config)
     failures = []
-    if not report.ratio_samples:
+    ratio = report.to_summary_dict()["difficulty"]["ratio_mean_post_warmup"]
+    if ratio is None:
         return ["run too short to pass warm-up"]
-    ratio = sum(report.ratio_samples) / len(report.ratio_samples)
     if not 8.5 <= ratio <= 11.5:
         failures.append(f"d_s/d_w mean {ratio:.3f} outside [8.5, 11.5]")
     target = config.total_hash * 2.0 * config.t
@@ -358,33 +366,27 @@ def cmd_stats(args) -> int:
     except OSError as exc:
         print(f"cannot read {args.blocks}: {exc}", file=sys.stderr)
         return EXIT_IO
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # includes json.JSONDecodeError
         print(f"malformed dump {args.blocks}: {exc}", file=sys.stderr)
         return EXIT_IO
     canonical, side = slashing.split_canonical(rows)
     produced = [r for r in canonical if r["kind"] != BlockKind.GENESIS.value]
     print(f"rows        {len(rows)} total, {len(produced)} canonical, "
           f"{len(side)} side")
-    for cls in ("pow", "pos", "all"):
-        if cls == "all":
-            ts = sorted(r["timestamp"] for r in produced)
-        else:
-            ts = sorted(r["timestamp"] for r in produced if r["kind"] == cls)
-        if len(ts) < 2:
-            continue
-        gaps = [b - a for a, b in zip(ts, ts[1:])]
-        mean = sum(gaps) / len(gaps)
-        line = f"gap [{cls:>3}]   n={len(gaps)}  mean={mean:.3f}s"
-        if len(gaps) >= stats.MIN_FIT_SAMPLES:
-            fit = stats.fit_exponential(gaps)
-            line += (f"  std={fit.std:.3f}s  ks={fit.ks_statistic:.5f} "
-                     f"(1% crit {stats.ks_critical(len(gaps)):.5f})")
-        print(line)
-    for kind in ("pow", "pos"):
-        trace = [r["difficulty"] for r in produced if r["kind"] == kind]
+    series = simnet.canonical_series(
+        (r["kind"], r["timestamp"], r["difficulty"]) for r in produced)
+    _print_gaps({cls: simnet.interarrival_summary(series.gaps(cls))
+                 for cls in series.timestamps})
+    for kind, trace in series.traces.items():
         if trace:
             print(f"difficulty  {kind}: first={trace[0]:.3f} last={trace[-1]:.3f}")
     return EXIT_OK
+
+
+def _positive_int(text: str) -> int:
+    if int(text) <= 0:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
+    return int(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -407,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     atk = sub.add_parser("attack", help="run an adversary scenario")
     atk.add_argument("name", choices=ATTACK_NAMES)
     atk.add_argument("--config", help="base network config (default: quick)")
-    atk.add_argument("--trials", type=int, help="Monte Carlo trial count")
+    atk.add_argument("--trials", type=_positive_int, help="Monte Carlo trial count")
     atk.add_argument("--seed", type=int, help="base rng seed")
     atk.add_argument("--out", help="attack report output directory")
     atk.add_argument("--force", action="store_true",

@@ -21,6 +21,9 @@ million blocks) takes under a minute.  Latency-model runs deliver every
 block to every replica, one event per replica, so a block costs about one
 import per replica; the cost per stored block does not grow with the
 horizon.
+
+Reports, ``powpos stats`` and ``powpos check`` summarise a canonical chain
+through ``canonical_series`` and ``interarrival_summary``, so they agree.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ import os
 import time
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -547,6 +550,48 @@ class _Engine:
 # ---------------------------------------------------------------------------
 # Reports
 
+@dataclass(slots=True)
+class CanonicalSeries:
+    """What every summary of a canonical chain reads, gathered in one pass."""
+
+    timestamps: Dict[str, List[float]]  # "all", "pow", "pos"; in chain order
+    traces: Dict[str, List[float]]  # difficulty per kind, in chain order
+    ratio_samples: List[float]  # d_s/d_w once both kinds pass warm-up
+
+    def gaps(self, cls: str) -> List[float]:
+        ordered = sorted(self.timestamps[cls])
+        return [b - a for a, b in zip(ordered, ordered[1:])]
+
+
+def canonical_series(blocks: Iterable[Tuple[str, float, float]]) -> CanonicalSeries:
+    """One pass over a canonical chain without genesis, in chain order, as
+    ``(kind, timestamp, difficulty)`` with ``kind`` "pow" or "pos"."""
+    series = CanonicalSeries({"all": [], "pow": [], "pos": []}, {"pow": [], "pos": []}, [])
+    trace_w, trace_s = series.traces["pow"], series.traces["pos"]
+    for kind, timestamp, difficulty in blocks:
+        series.timestamps["all"].append(timestamp)
+        series.timestamps[kind].append(timestamp)
+        series.traces[kind].append(difficulty)
+        if len(trace_w) > WARMUP_BLOCKS and len(trace_s) > WARMUP_BLOCKS:
+            series.ratio_samples.append(trace_s[-1] / trace_w[-1])
+    return series
+
+
+def interarrival_summary(gaps: Sequence[float]) -> dict:
+    """The ``report.json`` entry of one class: its count, and its exponential
+    fit once it has ``MIN_FIT_SAMPLES`` gaps."""
+    if len(gaps) < stats.MIN_FIT_SAMPLES:
+        return {"count": len(gaps)}
+    fit = stats.fit_exponential(gaps)
+    return {
+        "count": fit.sample_count,
+        "mean": fit.mean,
+        "std": fit.std,
+        "rate": fit.rate,
+        "ks": fit.ks_statistic,
+        "ks_critical_1pct": stats.ks_critical(fit.sample_count),
+    }
+
 
 @dataclass
 class SimReport:
@@ -583,18 +628,17 @@ class SimReport:
             combined[account] = combined.get(account, 0.0) + amount
         return combined
 
-    def _class_summary(self, samples: List[float]) -> dict:
-        if len(samples) < stats.MIN_FIT_SAMPLES:
-            return {"count": len(samples)}
-        fit = stats.fit_exponential(samples)
-        return {
-            "count": fit.sample_count,
-            "mean": fit.mean,
-            "std": fit.std,
-            "rate": fit.rate,
-            "ks": fit.ks_statistic,
-            "ks_critical_1pct": stats.ks_critical(fit.sample_count),
-        }
+    @property
+    def interarrivals(self) -> Dict[str, List[float]]:
+        return {"all": self.interarrival_all, "pow": self.interarrival_pow,
+                "pos": self.interarrival_pos}
+
+    def rewarded_classes(self) -> List[tuple]:
+        """``(class, participants, rewards)`` per class with power and reward, stakers first."""
+        return [(cls, participants, rewards) for cls, participants, rewards in (
+            ("pos", self.config.stakers, self.rewards_pos),
+            ("pow", self.config.miners, self.rewards_pow),
+        ) if sum(v for _, v in participants) > 0 and sum(rewards.values()) > 0]
 
     def to_summary_dict(self) -> dict:
         ratio_mean = (
@@ -615,11 +659,7 @@ class SimReport:
                 "td_s": self.td_s,
                 "product": self.td_w * self.td_s,
             },
-            "interarrivals": {
-                "all": self._class_summary(self.interarrival_all),
-                "pow": self._class_summary(self.interarrival_pow),
-                "pos": self._class_summary(self.interarrival_pos),
-            },
+            "interarrivals": {c: interarrival_summary(g) for c, g in self.interarrivals.items()},
             "difficulty": {
                 "final_w": self.difficulty_trace_w[-1] if self.difficulty_trace_w else None,
                 "final_s": self.difficulty_trace_s[-1] if self.difficulty_trace_s else None,
@@ -663,64 +703,37 @@ def _build_report(engine: _Engine, runtime: float) -> SimReport:
     tree = engine.observer.tree
     chain = tree.canonical_chain()
     blocks = chain[1:]  # genesis is not a produced block
+    series = canonical_series((b.kind.value, b.timestamp, b.difficulty) for b in blocks)
 
-    ts_all: List[float] = []
-    ts_pow: List[float] = []
-    ts_pos: List[float] = []
-    rewards_pow: Dict[int, float] = {a: 0.0 for a, _ in config.miners}
-    rewards_pos: Dict[int, float] = {a: 0.0 for a, _ in config.stakers}
-    trace_w: List[float] = []
-    trace_s: List[float] = []
-    ratio_samples: List[float] = []
-    current_w = config.d_genesis_w
-    current_s = config.d_genesis_s
-
+    rewards = {"pow": {a: 0.0 for a, _ in config.miners},
+               "pos": {a: 0.0 for a, _ in config.stakers}}
     for b in blocks:
-        ts_all.append(b.timestamp)
-        if b.kind is BlockKind.POW:
-            ts_pow.append(b.timestamp)
-            trace_w.append(b.difficulty)
-            current_w = b.difficulty
-            rewards_pow[b.producer] = rewards_pow.get(b.producer, 0.0) + config.block_reward
-        else:
-            ts_pos.append(b.timestamp)
-            trace_s.append(b.difficulty)
-            current_s = b.difficulty
-            rewards_pos[b.producer] = rewards_pos.get(b.producer, 0.0) + config.block_reward
-        if len(trace_w) > WARMUP_BLOCKS and len(trace_s) > WARMUP_BLOCKS:
-            ratio_samples.append(current_s / current_w)
-
-    def gaps(ts: List[float]) -> List[float]:
-        if len(ts) < 2:
-            return []
-        ordered = sorted(ts)
-        return [b - a for a, b in zip(ordered, ordered[1:])]
-
-    hist = Counter(int(math.floor(t)) for t in ts_all)
-    seconds_histogram = Counter(hist.values())
-
-    for b in blocks:
+        credited = rewards[b.kind.value]
+        credited[b.producer] = credited.get(b.producer, 0.0) + config.block_reward
         engine.ledger.credit(b.producer, config.block_reward)
+
+    hist = Counter(int(math.floor(t)) for t in series.timestamps["all"])
+    seconds_histogram = Counter(hist.values())
 
     tip_weight = tree.chain_weight(tree.canonical_tip)
     report = SimReport(
         config=config,
         total_blocks=len(blocks),
-        pow_blocks=len(ts_pow),
-        pos_blocks=len(ts_pos),
+        pow_blocks=len(series.traces["pow"]),
+        pos_blocks=len(series.traces["pos"]),
         stored_blocks=len(tree) - 1,
         orphan_count=len(tree) - 1 - len(blocks),
         canonical_height=blocks[-1].height if blocks else 0,
         td_w=tip_weight.td_w,
         td_s=tip_weight.td_s,
-        interarrival_all=gaps(ts_all),
-        interarrival_pow=gaps(ts_pow),
-        interarrival_pos=gaps(ts_pos),
-        rewards_pow=rewards_pow,
-        rewards_pos=rewards_pos,
-        difficulty_trace_w=trace_w,
-        difficulty_trace_s=trace_s,
-        ratio_samples=ratio_samples,
+        interarrival_all=series.gaps("all"),
+        interarrival_pow=series.gaps("pow"),
+        interarrival_pos=series.gaps("pos"),
+        rewards_pow=rewards["pow"],
+        rewards_pos=rewards["pos"],
+        difficulty_trace_w=series.traces["pow"],
+        difficulty_trace_s=series.traces["pos"],
+        ratio_samples=series.ratio_samples,
         seconds_histogram=dict(seconds_histogram),
         runtime_seconds=runtime,
         tree=tree,
@@ -734,10 +747,12 @@ def _build_report(engine: _Engine, runtime: float) -> SimReport:
         rows = list(tree.dump_rows())
         report.evidence = slashing_mod.detect_all(rows)
         if mode == "dunkle":
-            multiple = float(config.slashing.split(":")[1])
-            report.dunkle_net = slashing_mod.dunkle_settlement_from_rows(
-                rows, config.block_reward, multiple
-            )
+            # The observer tree's fork choice decides which rows are side rows.
+            canonical = {format(b.id, "064x") for b in chain}
+            report.dunkle_net = slashing_mod.dunkle_settlement(
+                [r for r in rows if r["id"] in canonical],
+                [r for r in rows if r["id"] not in canonical],
+                config.block_reward, float(config.slashing.split(":")[1]))
     return report
 
 
@@ -767,66 +782,14 @@ def orphan_proxy(report: SimReport) -> float:
     return report.orphan_count / max(report.stored_blocks, 1)
 
 
-def summarize_interarrivals(report: SimReport) -> Dict[str, stats.FitResult]:
-    """Exponential fits per block class; classes too small to fit are skipped."""
-    out = {}
-    for name, samples in (
-        ("all", report.interarrival_all),
-        ("pow", report.interarrival_pow),
-        ("pos", report.interarrival_pos),
-    ):
-        if len(samples) >= stats.MIN_FIT_SAMPLES:
-            out[name] = stats.fit_exponential(samples)
-    return out
-
-
-@dataclass(frozen=True, slots=True)
-class FairnessRow:
-    account: int
-    block_class: str
-    power_share: float
-    reward_share: float
-
-
-def fairness_rows(report: SimReport) -> List[FairnessRow]:
-    config = report.config
-    rows = []
-    for cls, participants, rewards in (
-        ("pos", config.stakers, report.rewards_pos),
-        ("pow", config.miners, report.rewards_pow),
-    ):
-        total_power = sum(v for _, v in participants)
-        total_reward = sum(rewards.values())
-        if total_power <= 0 or total_reward <= 0:
-            continue
-        for account, power in participants:
-            rows.append(
-                FairnessRow(
-                    account=account,
-                    block_class=cls,
-                    power_share=power / total_power,
-                    reward_share=rewards.get(account, 0.0) / total_reward,
-                )
-            )
-    return rows
-
-
 def fairness_scores(report: SimReport, min_share: float = 0.03) -> Dict[str, float]:
     """Per-class proportionality scores (worst relative deviation)."""
-    config = report.config
-    scores = {}
-    for cls, participants, rewards in (
-        ("pos", config.stakers, report.rewards_pos),
-        ("pow", config.miners, report.rewards_pow),
-    ):
-        if not participants:
-            continue
-        power = [v for _, v in participants]
-        reward = [rewards.get(a, 0.0) for a, _ in participants]
-        if sum(reward) <= 0:
-            continue
-        scores[cls] = stats.proportionality_score(power, reward, min_share=min_share)
-    return scores
+    return {
+        cls: stats.proportionality_score(
+            [v for _, v in participants], [rewards.get(a, 0.0) for a, _ in participants],
+            min_share=min_share)
+        for cls, participants, rewards in report.rewarded_classes()
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -856,11 +819,7 @@ def write_artifacts(report: SimReport, outdir: str, force: bool = False) -> List
     path = os.path.join(outdir, "interarrivals.csv")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("class,gap_seconds\n")
-        for cls, samples in (
-            ("all", report.interarrival_all),
-            ("pow", report.interarrival_pow),
-            ("pos", report.interarrival_pos),
-        ):
+        for cls, samples in report.interarrivals.items():
             for gap in samples:
                 fh.write(f"{cls},{gap!r}\n")
     paths.append(path)
@@ -868,12 +827,9 @@ def write_artifacts(report: SimReport, outdir: str, force: bool = False) -> List
     path = os.path.join(outdir, "rewards.csv")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("account,class,power,reward\n")
-        for row in fairness_rows(report):
-            power = dict(report.config.stakers if row.block_class == "pos"
-                         else report.config.miners)[row.account]
-            reward = (report.rewards_pos if row.block_class == "pos"
-                      else report.rewards_pow).get(row.account, 0.0)
-            fh.write(f"{row.account},{row.block_class},{power!r},{reward!r}\n")
+        for cls, participants, rewards in report.rewarded_classes():
+            for account, power in participants:
+                fh.write(f"{account},{cls},{power!r},{rewards.get(account, 0.0)!r}\n")
     paths.append(path)
 
     path = os.path.join(outdir, "difficulty.csv")

@@ -144,6 +144,8 @@ def split_canonical(rows: Sequence[dict]) -> Tuple[List[dict], List[dict]]:
 
     The canonical tip is the heaviest-product block, earliest arrival
     breaking ties; rows are assumed to be in arrival order, as dumps are.
+    This is the fork choice of a dump, which has no tree; an in-process run
+    asks its tree instead.
     """
     if not rows:
         return [], []
@@ -182,12 +184,6 @@ def dunkle_settlement(canonical_rows: Sequence[dict], side_rows: Sequence[dict],
         if row["kind"] == POS:
             net[row["producer"]] = net.get(row["producer"], 0.0) - n * reward
     return net
-
-
-def dunkle_settlement_from_rows(rows: Sequence[dict], reward: float,
-                                n: float) -> Dict[int, float]:
-    canonical, side = split_canonical(rows)
-    return dunkle_settlement(canonical, side, reward, n)
 
 
 def dunkle_n_bound(orphan_rate: float) -> float:
@@ -390,12 +386,27 @@ def write_evidence(evidence: Iterable[Evidence], path: str, force: bool = False)
     return path
 
 
+ROW_KEYS = frozenset(("id", "parent", "kind", "difficulty", "timestamp", "height",
+                      "producer", "td_w", "td_s"))
+
+
 def load_rows(path: str) -> List[dict]:
-    """Read a blocks.jsonl dump back into detector-ready rows."""
-    rows = []
+    """Read a blocks.jsonl dump back into detector-ready rows.
+
+    Raises ``ValueError`` unless every line is an object with ``ROW_KEYS``, a
+    new string id and a null or earlier parent, so walks to genesis end.
+    """
+    rows: List[dict] = []
+    seen: set = {None}  # ids so far; a null parent is always known
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                rows.append(json.loads(line))
+        for lineno, line in enumerate(fh, start=1):
+            if line.strip():
+                row = json.loads(line)
+                if not (isinstance(row, dict) and ROW_KEYS <= row.keys()
+                        and isinstance(row["id"], str) and row["id"] not in seen
+                        and isinstance(row["parent"], (str, type(None)))
+                        and row["parent"] in seen):
+                    raise ValueError(f"line {lineno} is not a new block row after its parent")
+                seen.add(row["id"])
+                rows.append(row)
     return rows

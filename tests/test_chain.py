@@ -11,6 +11,7 @@ from powpos import crypto, difficulty, forging
 from powpos.chain import (
     Block, BlockKind, BlockTree, ImportResult, WeightPair, make_genesis,
 )
+from powpos.slashing import split_canonical
 
 
 def fresh_tree(seed=1, target_gap=20.0, alpha=0.01, rule=None):
@@ -208,6 +209,10 @@ def test_incremental_fork_choice_matches_scan(spec, base, data):
         for kind in (BlockKind.POW, BlockKind.POS):
             expected = tree.rule.expected(tree, node_id, kind)
             assert tree.expected_difficulty(node_id, kind) == expected
+    # A dump's only fork choice, the row split, agrees with the tree's.
+    canonical, _side = split_canonical(list(tree.dump_rows()))
+    assert [row["id"] for row in canonical] == [
+        format(b.id, "064x") for b in tree.canonical_chain()]
 
 
 def test_canonical_chain_walks_genesis_to_tip():

@@ -26,6 +26,16 @@ def cfg_path(tmp_path):
     return str(path)
 
 
+def write_cfg(tmp_path, text):
+    path = tmp_path / "case.cfg"
+    path.write_text(text)
+    return str(path)
+
+
+STAKERS_ONLY = "t = 10\nduration = 600\nstakers = 100 50\n"
+MINERS_ONLY = "t = 10\nduration = 600\nminers = 10 5\n"
+
+
 def test_simulate_prints_summary_and_writes_artifacts(tmp_path, cfg_path, capsys):
     outdir = str(tmp_path / "artifacts")
     assert cli.main(["simulate", "--config", cfg_path, "--out", outdir]) == cli.EXIT_OK
@@ -80,6 +90,19 @@ def test_simulate_cli_overrides(tmp_path, cfg_path, capsys):
     )
 
 
+@pytest.mark.parametrize("text, kind", [(STAKERS_ONLY, "pow"), (MINERS_ONLY, "pos")],
+                         ids=["stakers-only", "miners-only"])
+def test_simulate_single_kind_config(tmp_path, capsys, text, kind):
+    outdir = str(tmp_path / "artifacts")
+    code = cli.main(["simulate", "--config", write_cfg(tmp_path, text), "--out", outdir])
+    assert code == cli.EXIT_OK
+    out = capsys.readouterr().out
+    assert ("d_w=n/a" if kind == "pow" else "d_s=n/a") in out
+    assert f"gap [{kind}]" not in out
+    with open(os.path.join(outdir, "rewards.csv"), encoding="utf-8") as fh:
+        assert all(f",{kind}," not in line for line in fh)
+
+
 def test_simulate_rejects_zero_dunkle_multiple(tmp_path, cfg_path, capsys):
     code = cli.main(["simulate", "--config", cfg_path, "--slashing", "dunkle:0",
                      "--out", str(tmp_path / "artifacts")])
@@ -100,6 +123,28 @@ def test_stats_recomputes_from_dump(tmp_path, cfg_path, capsys):
     assert "difficulty  pow:" in out
 
 
+@pytest.mark.parametrize("latency", ["perfect", "fixed:2"])
+def test_stats_prints_the_gap_lines_of_simulate(tmp_path, cfg_path, capsys, latency):
+    outdir = str(tmp_path / "artifacts")
+    assert cli.main(["simulate", "--config", cfg_path, "--latency", latency,
+                     "--out", outdir]) == cli.EXIT_OK
+    simulated = capsys.readouterr().out
+    assert cli.main(["stats", os.path.join(outdir, "blocks.jsonl")]) == cli.EXIT_OK
+    restated = capsys.readouterr().out
+
+    def gap_lines(text):
+        return [line for line in text.splitlines() if line.startswith("gap [")]
+
+    assert len(gap_lines(simulated)) == 3
+    assert gap_lines(restated) == gap_lines(simulated)
+    with open(os.path.join(outdir, "report.json"), encoding="utf-8") as fh:
+        blocks = json.load(fh)["blocks"]
+    if latency != "perfect":
+        assert blocks["orphaned"] > 0
+    assert (f"rows        {blocks['stored'] + 1} total, {blocks['total']} canonical, "
+            f"{blocks['orphaned']} side") in restated
+
+
 def test_stats_io_errors(tmp_path, capsys):
     assert cli.main(["stats", str(tmp_path / "absent.jsonl")]) == cli.EXIT_IO
     assert "cannot read" in capsys.readouterr().err
@@ -107,6 +152,18 @@ def test_stats_io_errors(tmp_path, capsys):
     mangled.write_text("{not json}\n")
     assert cli.main(["stats", str(mangled)]) == cli.EXIT_IO
     assert "malformed dump" in capsys.readouterr().err
+
+    genesis = {"id": "g", "parent": None, "kind": "genesis", "difficulty": 1.0,
+               "timestamp": 0.0, "height": 0, "producer": -1, "td_w": 1.0, "td_s": 1.0}
+    no_id = {k: v for k, v in genesis.items() if k != "id"}
+    # a and b name each other as parent; c, the heaviest leaf, walks into them.
+    cycle = [genesis, dict(genesis, id="a", parent="b", kind="pos"),
+             dict(genesis, id="b", parent="a", kind="pos"),
+             dict(genesis, id="c", parent="a", kind="pos", td_w=5.0)]
+    for lines in ([genesis, no_id], [genesis, [1, 2]], cycle):
+        mangled.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        assert cli.main(["stats", str(mangled)]) == cli.EXIT_IO
+        assert "malformed dump" in capsys.readouterr().err
 
 
 def test_attack_future_mining_passes(capsys):
@@ -139,15 +196,36 @@ def test_attack_split_stake_writes_report(tmp_path, capsys):
     assert code == cli.EXIT_OK
 
 
+@pytest.mark.parametrize("trials", ["0", "-3", "many"])
+def test_attack_trials_must_be_a_positive_integer(capsys, trials):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["attack", "double-spend", "--trials", trials])
+    assert exit_info.value.code == cli.EXIT_CONFIG
+    assert "--trials" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, text", [
+    ("selfish", STAKERS_ONLY),
+    ("public-double-spend", STAKERS_ONLY),
+    ("split-stake", MINERS_ONLY),
+], ids=["selfish", "public-double-spend", "split-stake"])
+def test_attack_precondition_is_a_config_error(tmp_path, capsys, name, text):
+    code = cli.main(["attack", name, "--config", write_cfg(tmp_path, text), "--trials", "2"])
+    assert code == cli.EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+
+
 def test_attack_rejects_unknown_name():
     with pytest.raises(SystemExit) as exit_info:
         cli.main(["attack", "teleport"])
     assert exit_info.value.code == 2
 
 
-def test_check_split_stake_suite(capsys):
-    assert cli.main(["check", "split-stake"]) == cli.EXIT_OK
-    assert "ok   split-stake" in capsys.readouterr().out
+# poisson-merge and difficulty-convergence read the report's summary dict.
+@pytest.mark.parametrize("suite", ["split-stake", "poisson-merge", "difficulty-convergence"])
+def test_check_split_stake_suite(capsys, suite):
+    assert cli.main(["check", suite]) == cli.EXIT_OK
+    assert f"ok   {suite}" in capsys.readouterr().out
 
 
 def test_main_requires_a_subcommand():

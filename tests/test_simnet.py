@@ -1,5 +1,6 @@
 """Config parsing, the event-driven run loop, and report artifacts."""
 
+import csv
 import hashlib
 import json
 import math
@@ -14,13 +15,13 @@ from powpos.simnet import (
     LatencyModel,
     SimConfig,
     baseline_config,
-    fairness_rows,
+    canonical_series,
     fairness_scores,
+    interarrival_summary,
     orphan_proxy,
     parse_config_file,
     poisson_collision_fraction,
     quick_config,
-    summarize_interarrivals,
     write_artifacts,
 )
 
@@ -267,19 +268,51 @@ def test_flagship_golden_digest(baseline_report):
         "2c5b73d07403f97516b81388e4c323de348e120dda4f8c058016a0bb3409deaf")
 
 
+def equilibrium_hour(**overrides):
+    """One hour of the flagship cast from equilibrium difficulty."""
+    base = baseline_config()
+    return baseline_config(
+        duration=3600.0,
+        d_genesis_w=base.total_hash * 2.0 * base.t,
+        d_genesis_s=base.total_stake * 2.0 * base.t,
+        **overrides,
+    )
+
+
 def test_latency_golden_digest():
     # One hour of fixed:2 latency from equilibrium difficulty: per-replica
     # trees with side chains and reorgs, so the digest pins fork choice.
-    base = baseline_config()
-    report = powpos.run(baseline_config(
-        duration=3600.0,
-        latency=LatencyModel.fixed(2.0),
-        slashing="evidence",
-        d_genesis_w=base.total_hash * 2.0 * base.t,
-        d_genesis_s=base.total_stake * 2.0 * base.t,
-    ))
+    report = powpos.run(equilibrium_hour(
+        latency=LatencyModel.fixed(2.0), slashing="evidence"))
     assert report_sha256(report) == (
         "6e114262e2e7a4c6325fe3ffd3fcfa8ae7422fd8c557b94c8076e4a4911e01e4")
+
+
+def test_dunkle_golden_digest():
+    # The same hour under dunkle:3: side PoS blocks debit their producers,
+    # so the digest pins which rows the settlement counts as canonical.
+    report = powpos.run(equilibrium_hour(
+        latency=LatencyModel.fixed(2.0), slashing="dunkle:3"))
+    assert min(report.dunkle_net.values()) < 0
+    assert report_sha256(report) == (
+        "6fc6d02bb1eb60d13abe044f9e72b9dd872d713c4f5dd80f0307fab4b7e0b21f")
+
+
+QUICK_ARTIFACT_SHA256 = {
+    "report.json": "04aab6406e650f0ceeb454ab3413291c9d3a29a7083b2e4036893966fb918165",
+    "interarrivals.csv": "c1bb635e89fec343875839bfe5bbb85044d54734f9e5f72b7b5cdd7237d7cb26",
+    "rewards.csv": "6148832f1b310a215103e6aec240722f42bd7da479b98e89e8a475a502cea3e9",
+    "difficulty.csv": "1c961d87c2ac6f37a383ecc11842047eff6e0460dea8d23df8b8e655467377a1",
+    "blocks.jsonl": "8b782a59f074d10f07743fbff9b4d4df24bfbb81beed556084dfdbd339d82be7",
+}
+
+
+def test_quick_artifact_digests(tmp_path, quick_report):
+    digests = {}
+    for path in write_artifacts(quick_report, str(tmp_path)):
+        with open(path, "rb") as fh:
+            digests[os.path.basename(path)] = hashlib.sha256(fh.read()).hexdigest()
+    assert digests == QUICK_ARTIFACT_SHA256
 
 
 # -- derived metrics -------------------------------------------------------
@@ -301,20 +334,48 @@ def test_orphan_proxy_matches_histogram_arithmetic(quick_report):
     assert orphan_proxy(r) == pytest.approx(extra / r.total_blocks)
 
 
-def test_summarize_interarrivals_classes(quick_report):
-    fits = summarize_interarrivals(quick_report)
-    assert set(fits) == {"all", "pow", "pos"}
-    assert fits["all"].sample_count == len(quick_report.interarrival_all)
-    assert fits["pow"].mean > fits["all"].mean
+def test_canonical_series_one_pass(monkeypatch):
+    monkeypatch.setattr(simnet, "WARMUP_BLOCKS", 1)
+    series = canonical_series([
+        ("pow", 5.0, 1.0), ("pos", 3.0, 10.0), ("pow", 9.0, 2.0),
+        ("pos", 12.0, 30.0), ("pos", 14.0, 40.0),
+    ])
+    assert series.timestamps == {"all": [5.0, 3.0, 9.0, 12.0, 14.0],
+                                 "pow": [5.0, 9.0], "pos": [3.0, 12.0, 14.0]}
+    assert series.traces == {"pow": [1.0, 2.0], "pos": [10.0, 30.0, 40.0]}
+    # Gaps come from sorted timestamps; chain order need not be time order.
+    assert series.gaps("all") == [2.0, 4.0, 3.0, 2.0]
+    assert series.gaps("pow") == [4.0]
+    assert canonical_series([("pos", 1.0, 1.0)]).gaps("pos") == []
+    # Sampled once both kinds have more than WARMUP_BLOCKS blocks.
+    assert series.ratio_samples == [15.0, 20.0]
 
 
-def test_fairness_rows_and_scores(quick_report):
-    rows = fairness_rows(quick_report)
+def test_interarrival_summary_fits_from_min_samples():
+    few = [1.0] * (stats.MIN_FIT_SAMPLES - 1)
+    assert interarrival_summary(few) == {"count": len(few)}
+    assert interarrival_summary([]) == {"count": 0}
+    gaps = [0.5 + i for i in range(stats.MIN_FIT_SAMPLES)]
+    fit = stats.fit_exponential(gaps)
+    assert interarrival_summary(gaps) == {
+        "count": len(gaps), "mean": fit.mean, "std": fit.std, "rate": fit.rate,
+        "ks": fit.ks_statistic, "ks_critical_1pct": stats.ks_critical(len(gaps)),
+    }
+
+
+def test_fairness_rows_and_scores(tmp_path, quick_report):
+    # rewards.csv holds one row per participant of each rewarded class.
+    write_artifacts(quick_report, str(tmp_path))
+    with open(tmp_path / "rewards.csv", encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(fh))
     assert len(rows) == 20
-    for cls in ("pow", "pos"):
-        class_rows = [r for r in rows if r.block_class == cls]
-        assert sum(r.power_share for r in class_rows) == pytest.approx(1.0)
-        assert sum(r.reward_share for r in class_rows) == pytest.approx(1.0)
+    for cls, participants, rewards in (
+        ("pos", quick_report.config.stakers, quick_report.rewards_pos),
+        ("pow", quick_report.config.miners, quick_report.rewards_pow),
+    ):
+        class_rows = [r for r in rows if r["class"] == cls]
+        assert [(int(r["account"]), float(r["power"])) for r in class_rows] == list(participants)
+        assert [float(r["reward"]) for r in class_rows] == [rewards[a] for a, _ in participants]
     scores = fairness_scores(quick_report)
     assert set(scores) == {"pos", "pow"}
     assert all(0.0 <= s < 0.5 for s in scores.values())
@@ -353,8 +414,11 @@ def test_summary_dict_reports_fit_blocks(quick_report):
     for cls in ("all", "pow", "pos"):
         block = summary["interarrivals"][cls]
         assert block["count"] >= stats.MIN_FIT_SAMPLES
+        assert block["count"] == len(quick_report.interarrivals[cls])
         assert block["ks_critical_1pct"] == pytest.approx(
             stats.ks_critical(block["count"])
         )
+    fits = summary["interarrivals"]
+    assert fits["pow"]["mean"] > fits["all"]["mean"]
     assert summary["config"] == quick_report.config.summary_dict()
     assert "runtime" not in json.dumps(summary)

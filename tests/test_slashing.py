@@ -18,7 +18,6 @@ from powpos.slashing import (
     detect_weight_timestamp_violation,
     dunkle_n_bound,
     dunkle_settlement,
-    dunkle_settlement_from_rows,
     load_rows,
     public_double_spend_win_rate,
     run_public_double_spend,
@@ -120,6 +119,8 @@ def test_split_canonical_walks_back_from_heaviest_leaf():
     assert [r["id"] for r in canonical] == ["g", "a1", "a2"]
     assert [r["id"] for r in side] == ["b1"]
     assert split_canonical([]) == ([], [])
+    # Settled over the split: b1's producer pays n*R.
+    assert dunkle_settlement(canonical, side, reward=1.0, n=3.0) == {1: 1.0, 2: -3.0}
 
 
 def test_split_canonical_breaks_ties_first_seen():
@@ -149,11 +150,6 @@ def test_dunkle_settlement_exact_arithmetic():
     assert net == {1: 3 * 2.0 - 4.0 * 2.0, 2: -2 * 4.0 * 2.0}
     with pytest.raises(ValueError):
         dunkle_settlement(canonical, side, reward=2.0, n=0.0)
-
-
-def test_dunkle_settlement_from_rows_composes():
-    net = dunkle_settlement_from_rows(FORK_ROWS, reward=1.0, n=3.0)
-    assert net == {1: 1.0, 2: -3.0}
 
 
 def test_dunkle_n_bound_values_and_domain():
@@ -310,6 +306,21 @@ def test_write_evidence_round_trip(tmp_path):
 
 def test_load_rows_reads_jsonl(tmp_path):
     path = tmp_path / "blocks.jsonl"
-    path.write_text('{"id": "g", "kind": "genesis"}\n\n{"id": "a", "kind": "pow"}\n')
+    path.write_text(json.dumps(FORK_ROWS[0]) + "\n\n" + json.dumps(FORK_ROWS[1]) + "\n")
     rows = load_rows(str(path))
-    assert [r["id"] for r in rows] == ["g", "a"]
+    assert [r["id"] for r in rows] == ["g", "a1"]
+
+
+@pytest.mark.parametrize("lines", [
+    [FORK_ROWS[0], FORK_ROWS[0]],                     # id seen before
+    [FORK_ROWS[1], FORK_ROWS[0]],                     # child before parent
+    [FORK_ROWS[0], dict(FORK_ROWS[1], parent=["g"])],  # parent not an id
+    [FORK_ROWS[0], dict(FORK_ROWS[1], id=7)],          # id not a string
+    [{k: v for k, v in FORK_ROWS[0].items() if k != "td_s"}],
+    ["g"],
+])
+def test_load_rows_rejects_rows_a_dump_cannot_hold(tmp_path, lines):
+    path = tmp_path / "blocks.jsonl"
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    with pytest.raises(ValueError, match="line"):
+        load_rows(str(path))
