@@ -27,6 +27,17 @@ full scan over all tips that is also the reference the tests compare with.
 
 A node's ancestry never changes after insertion, so the expected difficulty
 of each kind of child is computed once per node and memoised on it.
+
+Lineage is shared between views.  Each participant of a simulated network
+keeps its own tree, made with :meth:`BlockTree.replica` from one origin tree.  A block's
+weight pair, same-kind anchors and expected-difficulty memos depend only on
+its ancestry, so when a replica imports the very block object the origin
+holds, onto a parent it already shares, its node takes the origin node's
+weight and anchors and reads and fills the origin node's memos.  Blocks the
+origin does not hold get their lineage computed by the replica itself.
+Membership, arrival order, children, tips, the canonical tip and the clock
+check stay per view, and a replica's import runs every validity check; the
+memo only answers the difficulty check sooner.
 """
 
 from __future__ import annotations
@@ -107,6 +118,9 @@ class TreeNode:
     # Expected difficulty of a PoW / PoS child, filled on first use.
     pow_expected: Optional[float] = None
     pos_expected: Optional[float] = None
+    # In a replica: the origin tree's node for the same block and ancestry,
+    # which holds the memos for both.  None where this node holds its own.
+    origin: Optional["TreeNode"] = None
 
 
 def make_genesis(oracle: HashOracle, timestamp: float = 0.0) -> Block:
@@ -147,6 +161,17 @@ class BlockTree:
         self.tips: Dict[int, None] = {genesis.id: None}
         self.canonical_tip: int = genesis.id
         self._arrivals = 0
+        # The origin tree's nodes: this tree's own unless it is a replica.
+        self._origin: Dict[int, TreeNode] = self.nodes
+
+    def replica(self) -> "BlockTree":
+        """An empty view with this tree's genesis, rule and base weight that
+        shares the lineage of every block it imports from this tree."""
+        root = self.nodes[self.genesis_id]
+        tree = BlockTree(root.block, self.rule, (root.weight.td_w, root.weight.td_s))
+        tree._origin = self._origin
+        tree.nodes[self.genesis_id].origin = root.origin or root
+        return tree
 
     # -- queries ---------------------------------------------------------
 
@@ -204,9 +229,11 @@ class BlockTree:
     def expected_difficulty(self, parent_id: int, kind: BlockKind) -> float:
         """The difficulty a ``kind`` child of ``parent_id`` must carry.
 
-        Memoised per node; the rule must be a pure function of ancestry.
+        Memoised per node, on the origin's node where a replica shares it;
+        the rule must be a pure function of ancestry.
         """
         node = self.nodes[parent_id]
+        node = node.origin or node
         if kind is BlockKind.POW:
             if node.pow_expected is None:
                 node.pow_expected = self.rule.expected(self, parent_id, kind)
@@ -264,13 +291,26 @@ class BlockTree:
             return ImportResult.REJECTED_FUTURE
 
         self._arrivals += 1
-        node = TreeNode(
-            block=block,
-            weight=parent.weight.child(block.kind, block.difficulty),
-            arrival_order=self._arrivals,
-            pow_anchor=self._anchor(block.parent_id, BlockKind.POW),
-            pos_anchor=self._anchor(block.parent_id, BlockKind.POS),
-        )
+        # Share the origin's node only for the same block object on a shared
+        # parent: then the whole ancestry is the origin's too.
+        shared = self._origin.get(block.id) if parent.origin is not None else None
+        if shared is not None and shared.block is block:
+            node = TreeNode(
+                block=block,
+                weight=shared.weight,
+                arrival_order=self._arrivals,
+                pow_anchor=shared.pow_anchor,
+                pos_anchor=shared.pos_anchor,
+                origin=shared,
+            )
+        else:
+            node = TreeNode(
+                block=block,
+                weight=parent.weight.child(block.kind, block.difficulty),
+                arrival_order=self._arrivals,
+                pow_anchor=self._anchor(block.parent_id, BlockKind.POW),
+                pos_anchor=self._anchor(block.parent_id, BlockKind.POS),
+            )
         self.nodes[block.id] = node
         parent.children.append(block.id)
         self.tips.pop(block.parent_id, None)

@@ -371,12 +371,16 @@ def cmd_stats(args) -> int:
         return EXIT_IO
     canonical, side = slashing.split_canonical(rows)
     produced = [r for r in canonical if r["kind"] != BlockKind.GENESIS.value]
-    print(f"rows        {len(rows)} total, {len(produced)} canonical, "
-          f"{len(side)} side")
     series = simnet.canonical_series(
         (r["kind"], r["timestamp"], r["difficulty"]) for r in produced)
-    _print_gaps({cls: simnet.interarrival_summary(series.gaps(cls))
-                 for cls in series.timestamps})
+    gaps = {cls: series.gaps(cls) for cls in series.timestamps}
+    if 0.0 in gaps["all"]:  # no interarrival fit takes a zero gap
+        print(f"malformed dump {args.blocks}: two canonical blocks share a timestamp",
+              file=sys.stderr)
+        return EXIT_IO
+    print(f"rows        {len(rows)} total, {len(produced)} canonical, "
+          f"{len(side)} side")
+    _print_gaps({cls: simnet.interarrival_summary(g) for cls, g in gaps.items()})
     for kind, trace in series.traces.items():
         if trace:
             print(f"difficulty  {kind}: first={trace[0]:.3f} last={trace[-1]:.3f}")

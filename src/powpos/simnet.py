@@ -12,15 +12,19 @@ streams, and forging delays are pure functions of chain state, so a run is
 a deterministic function of its configuration.
 
 Scale note: a refresh reads the tip's context (difficulties, seed anchor,
-height) once for all producers bound to a view, each tree memoises expected
-difficulty per node, and fork choice is updated per import rather than
+height) once for all producers bound to a view, expected difficulty is
+memoised per block, and fork choice is updated per import rather than
 rescanned, so neither grows with the number of producers or tips; only the
 re-arming of each producer does.  The flagship
 configuration (ten miners, ten stakers, thirty simulated days, a quarter
-million blocks) takes under a minute.  Latency-model runs deliver every
-block to every replica, one event per replica, so a block costs about one
-import per replica; the cost per stored block does not grow with the
-horizon.
+million blocks) takes under a minute.  Under a latency model the replicas
+are made with ``BlockTree.replica`` from the observer's tree, and the
+observer imports every block first, so each block's weight, anchors and
+expected difficulties are computed once for all views.  Delivery takes one
+event per arrival instant, carrying every view that receives the block
+then: one event per block under ``fixed:``, one per replica under
+``uniform:``.  A block still costs one validated import per replica, and
+the cost per stored block does not grow with the horizon.
 
 Reports, ``powpos stats`` and ``powpos check`` summarise a canonical chain
 through ``canonical_series`` and ``interarrival_summary``, so they agree.
@@ -35,6 +39,7 @@ import os
 import time
 from collections import Counter
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -377,7 +382,7 @@ class _Engine:
         for account, stake in config.stakers:
             self.ledger.grant_active(account, stake)
 
-        self.observer = _View(0, self._new_tree())
+        self.observer = _View(0, BlockTree(self.genesis, AdaptiveRule(self.params)))
         self.views = [self.observer]
         self.producers: List[_Producer] = []
         shared = config.latency.is_perfect
@@ -410,13 +415,10 @@ class _Engine:
         self.now = 0.0
         self.produced = 0
 
-    def _new_tree(self) -> BlockTree:
-        return BlockTree(self.genesis, AdaptiveRule(self.params))
-
     def _bind_view(self, shared: bool) -> int:
         if shared:
             return 0
-        view = _View(len(self.views), self._new_tree())
+        view = _View(len(self.views), self.observer.tree.replica())
         self.views.append(view)
         return view.index
 
@@ -462,6 +464,10 @@ class _Engine:
 
     def _publish(self, producer: _Producer, block: Block, now: float) -> None:
         view = self.views[producer.view]
+        replicated = view is not self.observer
+        if replicated:
+            # The observer first, so that the producer's view shares its lineage.
+            self.observer.tree.import_block(block)
         before = view.tree.canonical_tip
         result = view.tree.import_block(block, now, self.config.t_future)
         assert result in (
@@ -470,13 +476,17 @@ class _Engine:
             ImportResult.REORG,
         ), f"own block import failed: {result}"
         self.produced += 1
-        if view is not self.observer:
-            self.observer.tree.import_block(block)
+        if replicated:
+            # One event per arrival instant.  Per-view events for one instant
+            # would hold consecutive sequence numbers, so nothing could run
+            # between them, and handling them in view order is the same.
+            arrivals: Dict[float, List[int]] = {}
             for other in self.views[1:]:
-                if other is view:
-                    continue
-                delay = self.config.latency.sample(self.latency_rng)
-                self._push(now + delay, "deliver", (other.index, block))
+                if other is not view:
+                    at = now + self.config.latency.sample(self.latency_rng)
+                    arrivals.setdefault(at, []).append(other.index)
+            for at, indices in arrivals.items():
+                self._push(at, "deliver", (indices, block))
         if view.tree.canonical_tip != before:
             self._refresh(view, now)
 
@@ -489,7 +499,7 @@ class _Engine:
         before = view.tree.canonical_tip
         result = view.tree.import_block(block, now, self.config.t_future)
         if result is ImportResult.REJECTED_FUTURE:
-            self._push(block.timestamp - self.config.t_future, "wake", (view.index, block))
+            self._push(block.timestamp - self.config.t_future, "deliver", ((view.index,), block))
             return
         if result in (
             ImportResult.EXTENDED_CANONICAL,
@@ -539,12 +549,10 @@ class _Engine:
                     self._fire_pow(p, at)
                 else:
                     self._fire_pos(p, at)
-            elif tag == "deliver":
-                view_index, block = payload
-                self._receive(self.views[view_index], block, at)
-            elif tag == "wake":
-                view_index, block = payload
-                self._receive(self.views[view_index], block, at)
+            else:  # "deliver"
+                indices, block = payload
+                for index in indices:
+                    self._receive(self.views[index], block, at)
 
 
 # ---------------------------------------------------------------------------
@@ -633,6 +641,11 @@ class SimReport:
         return {"all": self.interarrival_all, "pow": self.interarrival_pow,
                 "pos": self.interarrival_pos}
 
+    @cached_property
+    def interarrival_fits(self) -> Dict[str, dict]:
+        """``interarrival_summary`` per class, fitted once per report."""
+        return {c: interarrival_summary(g) for c, g in self.interarrivals.items()}
+
     def rewarded_classes(self) -> List[tuple]:
         """``(class, participants, rewards)`` per class with power and reward, stakers first."""
         return [(cls, participants, rewards) for cls, participants, rewards in (
@@ -659,7 +672,7 @@ class SimReport:
                 "td_s": self.td_s,
                 "product": self.td_w * self.td_s,
             },
-            "interarrivals": {c: interarrival_summary(g) for c, g in self.interarrivals.items()},
+            "interarrivals": {c: dict(f) for c, f in self.interarrival_fits.items()},
             "difficulty": {
                 "final_w": self.difficulty_trace_w[-1] if self.difficulty_trace_w else None,
                 "final_s": self.difficulty_trace_s[-1] if self.difficulty_trace_s else None,

@@ -388,13 +388,16 @@ def write_evidence(evidence: Iterable[Evidence], path: str, force: bool = False)
 
 ROW_KEYS = frozenset(("id", "parent", "kind", "difficulty", "timestamp", "height",
                       "producer", "td_w", "td_s"))
+ROW_KINDS = ("pow", "pos", "genesis")  # a tuple: an unhashable kind is no error
+ROW_NUMBERS = ("difficulty", "timestamp", "td_w", "td_s")
 
 
 def load_rows(path: str) -> List[dict]:
     """Read a blocks.jsonl dump back into detector-ready rows.
 
     Raises ``ValueError`` unless every line is an object with ``ROW_KEYS``, a
-    new string id and a null or earlier parent, so walks to genesis end.
+    new string id and a null or earlier parent, so walks to genesis end, a
+    kind in ``ROW_KINDS`` and a finite number in each of ``ROW_NUMBERS``.
     """
     rows: List[dict] = []
     seen: set = {None}  # ids so far; a null parent is always known
@@ -407,6 +410,13 @@ def load_rows(path: str) -> List[dict]:
                         and isinstance(row["parent"], (str, type(None)))
                         and row["parent"] in seen):
                     raise ValueError(f"line {lineno} is not a new block row after its parent")
+                if row["kind"] not in ROW_KINDS:
+                    raise ValueError(f"line {lineno} has unknown kind {row['kind']!r}")
+                for key in ROW_NUMBERS:
+                    # type(), not isinstance(): JSON true is not a number here.
+                    if type(row[key]) not in (int, float) or not math.isfinite(row[key]):
+                        raise ValueError(f"line {lineno} has non-numeric or "
+                                         f"non-finite {key} {row[key]!r}")
                 seen.add(row["id"])
                 rows.append(row)
     return rows

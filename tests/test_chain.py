@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -163,16 +164,15 @@ TREE_SPECS = st.lists(
 @given(spec=TREE_SPECS, base=st.sampled_from([1.0, 1e17]), data=st.data())
 def test_incremental_fork_choice_matches_scan(spec, base, data):
     # A base weight of 1e17 absorbs difficulties near 1, so products tie and
-    # children of the tip exercise the fallback scan.
+    # children of the tip exercise the fallback scan.  An origin tree and its
+    # replica import the blocks in two random parent-first orders, drawn
+    # interleaved, so the replica meets blocks the origin holds (and shares
+    # their lineage) and blocks it does not hold yet (and computes its own).
     oracle = crypto.HashOracle(4)
     params = difficulty.DifficultyParams(target_gap=20.0, alpha=0.5)
     genesis = make_genesis(oracle)
-
-    def new_tree():
-        return BlockTree(genesis, difficulty.AdaptiveRule(params),
-                         base_weight=(base, base))
-
-    source = new_tree()
+    source = BlockTree(genesis, difficulty.AdaptiveRule(params),
+                       base_weight=(base, base))
     ids, children, clock = [genesis.id], {}, 0.0
     for i, (pick, forged, step) in enumerate(spec):
         parent_id = ids[pick % len(ids)]
@@ -185,10 +185,17 @@ def test_incremental_fork_choice_matches_scan(spec, base, data):
         ids.append(blk.id)
         children.setdefault(parent_id, []).append(blk)
 
-    tree = new_tree()
-    ready = list(children.get(genesis.id, []))
-    while ready:
-        blk = ready.pop(data.draw(st.integers(0, len(ready) - 1)))
+    origin = BlockTree(genesis, difficulty.AdaptiveRule(params), base_weight=(base, base))
+    trees = [origin, origin.replica()]
+    ready = [list(children.get(genesis.id, [])) for _ in trees]
+    while any(ready):
+        which = data.draw(st.sampled_from([i for i, r in enumerate(ready) if r]))
+        tree, pending = trees[which], ready[which]
+        blk = pending.pop(data.draw(st.integers(0, len(pending) - 1)))
+        # A copy with the same id but a doctored difficulty must fail the
+        # difficulty check, in a replica too, whatever the origin holds.
+        forged_copy = replace(blk, difficulty=2.0 * blk.difficulty)
+        assert tree.import_block(forged_copy) is ImportResult.INVALID
         old_tip = tree.canonical_tip
         result = tree.import_block(blk)
         scan = tree.fork_choice()
@@ -202,17 +209,61 @@ def test_incremental_fork_choice_matches_scan(spec, base, data):
         # Fill memos early, as the engine does, to check them at the end.
         tree.expected_difficulty(scan, BlockKind.POW)
         tree.expected_difficulty(scan, BlockKind.POS)
-        ready.extend(children.get(blk.id, []))
+        pending.extend(children.get(blk.id, []))
 
-    assert len(tree) == len(ids)
-    for node_id in tree.nodes:
-        for kind in (BlockKind.POW, BlockKind.POS):
-            expected = tree.rule.expected(tree, node_id, kind)
-            assert tree.expected_difficulty(node_id, kind) == expected
-    # A dump's only fork choice, the row split, agrees with the tree's.
-    canonical, _side = split_canonical(list(tree.dump_rows()))
-    assert [row["id"] for row in canonical] == [
-        format(b.id, "064x") for b in tree.canonical_chain()]
+    for tree in trees:
+        assert len(tree) == len(ids)
+        for node_id in tree.nodes:
+            assert tree.chain_weight(node_id) == source.chain_weight(node_id)
+            for kind in (BlockKind.POW, BlockKind.POS):
+                expected = tree.rule.expected(tree, node_id, kind)
+                assert tree.expected_difficulty(node_id, kind) == expected
+        # A dump's only fork choice, the row split, agrees with the tree's.
+        canonical, _side = split_canonical(list(tree.dump_rows()))
+        assert [row["id"] for row in canonical] == [
+            format(b.id, "064x") for b in tree.canonical_chain()]
+    assert origin.weight_product(origin.canonical_tip) == (
+        trees[1].weight_product(trees[1].canonical_tip))
+
+
+def test_replica_computes_lineage_the_origin_lacks():
+    oracle, origin = fresh_tree()
+    replica = origin.replica()
+    assert replica.rule is origin.rule
+    a1 = mine(oracle, origin, origin.canonical_tip, at=10.0, account=1)
+    origin.import_block(a1)
+    a2 = mine(oracle, origin, a1.id, at=25.0, account=1)
+    origin.import_block(a2)
+    for blk in (a1, a2):
+        assert replica.import_block(blk) is ImportResult.EXTENDED_CANONICAL
+        assert replica.node(blk.id).origin is origin.node(blk.id)
+
+    # b reaches the replica only; its difficulty is retargeted from a1 and a2.
+    b = mine(oracle, replica, a2.id, at=40.0, account=2)
+    assert b.difficulty != 1.0
+    assert replica.import_block(replace(b, difficulty=1.0)) is ImportResult.INVALID
+    assert replica.import_block(b) is ImportResult.EXTENDED_CANONICAL
+    assert b.id not in origin and replica.node(b.id).origin is None
+    s = forge(oracle, replica, b.id, account=30)
+    assert replica.import_block(s) is ImportResult.EXTENDED_CANONICAL
+    assert replica.canonical_tip == s.id == replica.fork_choice()
+    assert origin.canonical_tip == a2.id
+    assert replica.chain_weight(s.id) == WeightPair(
+        1.0 + a1.difficulty + a2.difficulty + b.difficulty, 1.0 + s.difficulty)
+
+    # Once the origin catches up, the replica's own nodes stay its own, and
+    # both trees answer every memo as their rule computes it.
+    for blk in (b, s):
+        assert origin.import_block(blk) is not ImportResult.INVALID
+    c = mine(oracle, replica, s.id, at=55.0, account=3)
+    origin.import_block(c)
+    assert replica.import_block(c) is ImportResult.EXTENDED_CANONICAL
+    assert replica.node(c.id).origin is None
+    for tree in (origin, replica):
+        for node_id in tree.nodes:
+            for kind in (BlockKind.POW, BlockKind.POS):
+                assert tree.expected_difficulty(node_id, kind) == (
+                    tree.rule.expected(tree, node_id, kind))
 
 
 def test_canonical_chain_walks_genesis_to_tip():

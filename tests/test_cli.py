@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from powpos import cli
+from powpos import cli, stats
 
 
 SMALL_CFG = """
@@ -46,6 +46,16 @@ def test_simulate_prints_summary_and_writes_artifacts(tmp_path, cfg_path, capsys
     assert f"artifacts   {outdir} (5 files)" in out
     for name in ("report.json", "blocks.jsonl"):
         assert os.path.exists(os.path.join(outdir, name))
+
+
+def test_simulate_fits_each_class_once(tmp_path, cfg_path, monkeypatch):
+    # The printed summary and report.json read the same fits.
+    fitted = []
+    fit = stats.fit_exponential
+    monkeypatch.setattr(stats, "fit_exponential", lambda gaps: fitted.append(gaps) or fit(gaps))
+    outdir = str(tmp_path / "artifacts")
+    assert cli.main(["simulate", "--config", cfg_path, "--out", outdir]) == cli.EXIT_OK
+    assert len(fitted) == 3
 
 
 def test_simulate_refuses_to_clobber_artifacts(tmp_path, cfg_path, capsys):
@@ -164,6 +174,39 @@ def test_stats_io_errors(tmp_path, capsys):
         mangled.write_text("".join(json.dumps(line) + "\n" for line in lines))
         assert cli.main(["stats", str(mangled)]) == cli.EXIT_IO
         assert "malformed dump" in capsys.readouterr().err
+
+
+def pow_chain_dump(path, count=40, **last):
+    """Write a genesis row and ``count`` PoW rows 10 s apart; ``last``
+    overrides fields of the final, canonical row."""
+    rows = [{"id": "g", "parent": None, "kind": "genesis", "difficulty": 1.0,
+             "timestamp": 0.0, "height": 0, "producer": None, "td_w": 1.0, "td_s": 1.0}]
+    for i in range(1, count + 1):
+        rows.append(dict(rows[0], id=f"b{i}", parent=rows[-1]["id"], kind="pow",
+                         timestamp=10.0 * i, height=i, producer=1, td_w=1.0 + i))
+    rows[-1].update(last)
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    return str(path)
+
+
+@pytest.mark.parametrize("last", [
+    {"kind": "pox"},
+    {"kind": ["pow"]},
+    {"td_w": "41"},
+    {"td_s": None},
+    {"difficulty": float("nan")},
+    {"timestamp": float("inf")},
+    {"timestamp": True},
+    {"timestamp": 390.0},  # the previous block's: a zero canonical gap
+], ids=["unknown-kind", "list-kind", "string-td_w", "null-td_s", "nan-difficulty",
+        "inf-timestamp", "bool-timestamp", "zero-gap"])
+def test_stats_rejects_bad_field_values(tmp_path, capsys, last):
+    assert cli.main(["stats", pow_chain_dump(tmp_path / "ok.jsonl")]) == cli.EXIT_OK
+    assert "gap [all]   n=39  mean=10.000s" in capsys.readouterr().out
+    dump = pow_chain_dump(tmp_path / "bad.jsonl", **last)
+    assert cli.main(["stats", dump]) == cli.EXIT_IO
+    captured = capsys.readouterr()
+    assert "malformed dump" in captured.err and captured.out == ""
 
 
 def test_attack_future_mining_passes(capsys):

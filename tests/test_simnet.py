@@ -298,6 +298,16 @@ def test_dunkle_golden_digest():
         "6fc6d02bb1eb60d13abe044f9e72b9dd872d713c4f5dd80f0307fab4b7e0b21f")
 
 
+def test_uniform_latency_golden_digest():
+    # The same hour under uniform:0:5: each replica gets its own arrival
+    # instant, so the digest pins delivery order where delays differ.
+    report = powpos.run(equilibrium_hour(
+        latency=LatencyModel.uniform(0.0, 5.0), slashing="evidence"))
+    assert report.orphan_count > 0
+    assert report_sha256(report) == (
+        "179dd9cbee496a8426e08cf86b77ca0103fdf1343b0fc41731b4bb2323390e8d")
+
+
 QUICK_ARTIFACT_SHA256 = {
     "report.json": "04aab6406e650f0ceeb454ab3413291c9d3a29a7083b2e4036893966fb918165",
     "interarrivals.csv": "c1bb635e89fec343875839bfe5bbb85044d54734f9e5f72b7b5cdd7237d7cb26",
