@@ -35,16 +35,16 @@ its ancestry, so when a replica imports the very block object the origin
 holds, onto a parent it already shares, its node takes the origin node's
 weight and anchors and reads and fills the origin node's memos.  Blocks the
 origin does not hold get their lineage computed by the replica itself.
-Membership, arrival order, children, tips, the canonical tip and the clock
-check stay per view, and a replica's import runs every validity check; the
-memo only answers the difficulty check sooner.
+Membership, arrival order, tips, the canonical tip and the clock check stay
+per view, and a replica's import runs every validity check; the memo only
+answers the difficulty check sooner.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -110,7 +110,6 @@ class TreeNode:
     block: Block
     weight: WeightPair
     arrival_order: int
-    children: List[int] = field(default_factory=list)
     # Nearest same-kind block at or above this node's parent, by id.
     # None when no such ancestor exists (genesis matches neither kind).
     pow_anchor: Optional[int] = None
@@ -312,7 +311,6 @@ class BlockTree:
                 pos_anchor=self._anchor(block.parent_id, BlockKind.POS),
             )
         self.nodes[block.id] = node
-        parent.children.append(block.id)
         self.tips.pop(block.parent_id, None)
         self.tips[block.id] = None
 

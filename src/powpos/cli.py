@@ -293,7 +293,7 @@ def _check_difficulty_convergence() -> List[str]:
     config = simnet.baseline_config(duration=2 * 86_400.0)
     report = simnet.run(config)
     failures = []
-    ratio = report.to_summary_dict()["difficulty"]["ratio_mean_post_warmup"]
+    ratio = report.ratio_mean
     if ratio is None:
         return ["run too short to pass warm-up"]
     if not 8.5 <= ratio <= 11.5:

@@ -9,6 +9,13 @@ ambient randomness, so whole simulations replay bit for bit.
 A :class:`Digest` carries the raw 256-bit value plus a ``unit`` view in
 (0, 1], which is what staking eligibility consumes.  The zero digest maps to
 the smallest positive unit so that ``ln(unit)`` stays finite.
+
+Every call is a fresh BLAKE2b state, keyed by the run seed, fed the framed
+parts in order.  Calls nearly always lead with a constant string label
+(``"seed-signature"``, ``"block-id"``, ``"derive-seed"`` ...), so an oracle
+keeps the keyed state after each such label, up to ``_MAX_LABELS`` of them,
+and copies it instead of framing the label again.  The digest is the same
+either way: it depends only on the bytes fed.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ import random
 import struct
 from dataclasses import dataclass
 from enum import Enum
-from typing import Union
+from typing import Dict, Union
 
 TWO_256 = 1 << 256
 
@@ -58,33 +65,73 @@ class KeyPair:
     sk: bytes
 
 
-def _encode_part(part: Hashable) -> bytes:
-    # Tag + length framing keeps distinct argument tuples distinct.
-    if isinstance(part, Digest):
-        body = part.value.to_bytes(32, "big")
-        tag = b"D"
-    elif isinstance(part, bytes):
-        body = part
-        tag = b"B"
-    elif isinstance(part, str):
-        body = part.encode("utf-8")
-        tag = b"S"
-    elif isinstance(part, Enum):
-        body = str(part.value).encode("utf-8")
-        tag = b"E"
-    elif isinstance(part, bool):
-        body = b"\x01" if part else b"\x00"
-        tag = b"b"
-    elif isinstance(part, int):
-        length = (part.bit_length() + 8) // 8 + 1
-        body = part.to_bytes(length, "big", signed=True)
-        tag = b"I"
-    elif isinstance(part, float):
-        body = struct.pack(">d", part)
-        tag = b"F"
-    else:
-        raise TypeError(f"cannot hash part of type {type(part)!r}")
+# Tag + 4-byte big-endian body length + body keeps distinct argument tuples
+# distinct.  One encoder per common part type; ``_encode_part`` dispatches to
+# them by ``isinstance`` and frames the rest itself.
+
+def _frame(tag: bytes, body: bytes) -> bytes:
     return tag + len(body).to_bytes(4, "big") + body
+
+
+_DIGEST_FRAME = b"D" + (32).to_bytes(4, "big")
+_FLOAT_FRAME = b"F" + (8).to_bytes(4, "big")
+_pack_double = struct.Struct(">d").pack
+
+
+def _encode_digest(part: Digest) -> bytes:
+    return _DIGEST_FRAME + part.value.to_bytes(32, "big")
+
+
+def _encode_bytes(part: bytes) -> bytes:
+    return b"B" + len(part).to_bytes(4, "big") + part
+
+
+def _encode_str(part: str) -> bytes:
+    return _frame(b"S", part.encode("utf-8"))
+
+
+def _encode_int(part: int) -> bytes:
+    return _frame(b"I", part.to_bytes((part.bit_length() + 8) // 8 + 1, "big", signed=True))
+
+
+def _encode_float(part: float) -> bytes:
+    return _FLOAT_FRAME + _pack_double(part)
+
+
+def _encode_part(part: Hashable) -> bytes:
+    if isinstance(part, Digest):
+        return _encode_digest(part)
+    if isinstance(part, bytes):
+        return _encode_bytes(part)
+    if isinstance(part, str):
+        return _encode_str(part)
+    if isinstance(part, Enum):
+        return _frame(b"E", str(part.value).encode("utf-8"))
+    if isinstance(part, bool):
+        return _frame(b"b", b"\x01" if part else b"\x00")
+    if isinstance(part, int):
+        return _encode_int(part)
+    if isinstance(part, float):
+        return _encode_float(part)
+    raise TypeError(f"cannot hash part of type {type(part)!r}")
+
+
+# The encoders by exact type, for ``HashOracle.hash``.  ``bool``, ``Enum``
+# members and every subclass miss this table and go through ``_encode_part``,
+# which orders the checks so that they frame as themselves.
+_ENCODERS = {
+    Digest: _encode_digest,
+    bytes: _encode_bytes,
+    str: _encode_str,
+    int: _encode_int,
+    float: _encode_float,
+}
+
+_new_digest = object.__new__
+_set_value = object.__setattr__
+
+# Distinct leading labels whose keyed state one oracle keeps.
+_MAX_LABELS = 64
 
 
 class HashOracle:
@@ -95,19 +142,37 @@ class HashOracle:
     identical runs get identical ones.
     """
 
-    __slots__ = ("run_seed", "_keyed")
+    __slots__ = ("run_seed", "_keyed", "_labelled")
 
     def __init__(self, run_seed: int):
         self.run_seed = int(run_seed)
         key = (self.run_seed % (1 << 128)).to_bytes(16, "big")
         # Keyed once; every call hashes into a copy of this fresh state.
         self._keyed = hashlib.blake2b(key=key, digest_size=32)
+        # The keyed state after each leading string label, framed once.
+        self._labelled: Dict[str, "hashlib._Hash"] = {}
 
     def hash(self, *parts: Hashable) -> Digest:
-        h = self._keyed.copy()
+        if parts and type(parts[0]) is str:
+            label = parts[0]
+            h = self._labelled.get(label)
+            if h is None:
+                h = self._keyed.copy()
+                h.update(_encode_str(label))
+                if len(self._labelled) < _MAX_LABELS:
+                    self._labelled[label] = h
+            h = h.copy()
+            parts = parts[1:]
+        else:
+            h = self._keyed.copy()
+        data = b""
         for part in parts:
-            h.update(_encode_part(part))
-        return Digest(int.from_bytes(h.digest(), "big"))
+            data += _ENCODERS.get(type(part), _encode_part)(part)
+        h.update(data)
+        # A 32-byte digest is always in range: skip the constructor's check.
+        digest = _new_digest(Digest)
+        _set_value(digest, "value", int.from_bytes(h.digest(), "big"))
+        return digest
 
     def sign_seed(self, prev: Digest, sk: bytes) -> Digest:
         """Deterministic signature of the previous seed under ``sk``."""

@@ -121,14 +121,22 @@ def forge_pos_block(
     voting_power: float,
     now: Optional[float] = None,
     provenance: str = "honest",
+    slot: Optional[PosEligibility] = None,
 ) -> Block:
     """Build the staker's PoS block on ``parent_id``.
 
     The timestamp is forced to the eligibility instant.  Passing ``now``
     enforces that the slot has arrived; forging ahead of it is reserved for
-    flagged attack strategies.
+    flagged attack strategies.  ``slot`` is the staker's slot as
+    ``pos_eligibility`` evaluated it at ``voting_power`` on a chain with
+    ``parent_id``'s seed anchor and PoS difficulty; it is checked against
+    both, and evaluated afresh when omitted.
     """
-    slot = pos_eligibility(oracle, tree, parent_id, staker, voting_power)
+    if slot is None:
+        slot = pos_eligibility(oracle, tree, parent_id, staker, voting_power)
+    elif (slot.anchor_id != tree.seed_anchor(parent_id).id
+          or slot.difficulty != tree.expected_difficulty(parent_id, BlockKind.POS)):
+        raise EligibilityError("slot belongs to another seed anchor or difficulty")
     if not math.isfinite(slot.eligible_at):
         raise EligibilityError("zero voting power never becomes eligible")
     if now is not None and now < slot.eligible_at and provenance == "honest":

@@ -7,24 +7,32 @@ participant gets its own replica fed by per-message delivery events, plus an
 omniscient observer replica used only for metrics.
 
 Everything runs off one virtual clock and one run seed.  Event ties are
-broken by insertion order, mining solve times come from per-miner RNG
-streams, and forging delays are pure functions of chain state, so a run is
-a deterministic function of its configuration.
+broken by sequence number, taken in order by every production draw and
+every delivery, mining solve times come from per-miner RNG streams, and
+forging delays are pure functions of chain state, so a run is a
+deterministic function of its configuration.
 
 Scale note: a refresh reads the tip's context (difficulties, seed anchor,
 height) once for all producers bound to a view, expected difficulty is
 memoised per block, and fork choice is updated per import rather than
-rescanned, so neither grows with the number of producers or tips; only the
-re-arming of each producer does.  The flagship
+rescanned, so neither grows with the number of producers or tips.  The
+draws still do: a refresh redraws every miner's wait and re-evaluates every
+staker whose slot context changed, O(N) in the producers of the view.  The
+heap does not: each view holds one live production event, for its earliest
+pending producer and under the ``(instant, sequence number)`` key of that
+producer's draw, so events fire in draw order and a stored block costs
+about one heap push under perfect latency, not one per producer.  A PoS
+block is built from the slot its refresh already evaluated.  The flagship
 configuration (ten miners, ten stakers, thirty simulated days, a quarter
-million blocks) takes under a minute.  Under a latency model the replicas
-are made with ``BlockTree.replica`` from the observer's tree, and the
-observer imports every block first, so each block's weight, anchors and
-expected difficulties are computed once for all views.  Delivery takes one
-event per arrival instant, carrying every view that receives the block
-then: one event per block under ``fixed:``, one per replica under
-``uniform:``.  A block still costs one validated import per replica, and
-the cost per stored block does not grow with the horizon.
+million blocks) takes under a minute.
+
+Under a latency model the replicas are made with ``BlockTree.replica`` from
+the observer's tree, and the observer imports every block first, so each
+block's weight, anchors and expected difficulties are computed once for all
+views.  Delivery takes one event per arrival instant, carrying every view
+that receives the block then: one event per block under ``fixed:``, one per
+replica under ``uniform:``.  A block still costs one validated import per
+replica, and the cost per stored block does not grow with the horizon.
 
 Reports, ``powpos stats`` and ``powpos check`` summarise a canonical chain
 through ``canonical_series`` and ``interarrival_summary``, so they agree.
@@ -40,6 +48,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from operator import attrgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -358,18 +367,28 @@ class _View:
     tree: BlockTree
     # Blocks whose parent has not arrived yet, keyed by the missing parent.
     orphans: Dict[int, List[Block]] = field(default_factory=dict)
+    # The ``(due, seq)`` key of the view's live production event, if any, and
+    # the epoch that event carries; every re-arm bumps the epoch, so earlier
+    # events of the view are stale.
+    armed: Optional[Tuple[float, int]] = None
+    epoch: int = 0
 
 
 @dataclass(slots=True)
 class _Producer:
     index: int
     view: int
-    epoch: int = 0
-    event_live: bool = False
+    # The pending production instant (inf when none) and the sequence number
+    # of the draw that set it: the heap key its event fires under.
+    due: float = math.inf
+    seq: int = 0
     miner: Optional[MinerContext] = None
     rng: Optional[object] = None
     staker: Optional[StakerContext] = None
     slot: Optional[PosEligibility] = None
+
+
+_pending_key = attrgetter("due", "seq")
 
 
 class _Engine:
@@ -428,8 +447,20 @@ class _Engine:
         self._seq += 1
         heapq.heappush(self.heap, (at, self._seq, tag, payload))
 
+    def _arm(self, view: _View) -> None:
+        """Make the view's live production event the one of its earliest
+        pending producer, keyed by that producer's ``(due, seq)``."""
+        first = min(self.by_view.get(view.index, ()), key=_pending_key, default=None)
+        key = _pending_key(first) if first is not None and first.due < math.inf else None
+        if key == view.armed:
+            return  # the live event already carries it
+        view.armed = key
+        view.epoch += 1
+        if key is not None:
+            heapq.heappush(self.heap, (*key, "produce", (view.index, view.epoch, first.index)))
+
     def _refresh(self, view: _View, now: float) -> None:
-        """Re-arm production for every participant bound to ``view``."""
+        """Redraw production for every participant bound to ``view``, then arm it."""
         if now > self.config.duration:
             return
         tree = view.tree
@@ -441,12 +472,11 @@ class _Engine:
         for p in self.by_view.get(view.index, ()):
             if p.miner is not None:
                 wait = pow_solve_time(p.miner, d_w, p.rng)
-                p.epoch += 1
-                p.event_live = True
-                self._push(now + wait, "pow", (p.index, p.epoch))
+                self._seq += 1
+                p.due, p.seq = now + wait, self._seq
             else:
                 if (
-                    p.event_live
+                    p.due < math.inf
                     and p.slot is not None
                     and p.slot.anchor_id == anchor_id
                     and p.slot.difficulty == d_s
@@ -455,12 +485,12 @@ class _Engine:
                 power = self.ledger.voting_power(p.staker.account, height)
                 slot = pos_eligibility(self.oracle, tree, tip, p.staker, power)
                 p.slot = slot
-                p.epoch += 1
                 if math.isfinite(slot.eligible_at):
-                    p.event_live = True
-                    self._push(max(now, slot.eligible_at), "pos", (p.index, p.epoch))
+                    self._seq += 1
+                    p.due, p.seq = max(now, slot.eligible_at), self._seq
                 else:
-                    p.event_live = False
+                    p.due = math.inf
+        self._arm(view)
 
     def _publish(self, producer: _Producer, block: Block, now: float) -> None:
         view = self.views[producer.view]
@@ -520,11 +550,13 @@ class _Engine:
         self._publish(p, block, now)
 
     def _fire_pos(self, p: _Producer, now: float) -> None:
+        # The tip has the seed anchor and difficulty the slot was evaluated
+        # on: any other tip would have refreshed the view.
         view = self.views[p.view]
         parent = view.tree.canonical_tip
         power = self.ledger.voting_power(p.staker.account, view.tree.block(parent).height)
         block = forge_pos_block(
-            self.oracle, view.tree, parent, p.staker, power, now=now
+            self.oracle, view.tree, parent, p.staker, power, now=now, slot=p.slot
         )
         self._publish(p, block, now)
 
@@ -537,18 +569,22 @@ class _Engine:
             draining = at > duration
             at, _seq, tag, payload = heapq.heappop(self.heap)
             self.now = at
-            if tag in ("pow", "pos"):
+            if tag == "produce":
                 if draining:
                     continue  # production stops at the horizon
-                index, epoch = payload
-                p = self.producers[index]
-                if epoch != p.epoch:
+                index, epoch, producer = payload
+                view = self.views[index]
+                if epoch != view.epoch:
                     continue
-                p.event_live = False
-                if tag == "pow":
+                p = self.producers[producer]
+                p.due = math.inf
+                view.armed = None
+                if p.miner is not None:
                     self._fire_pow(p, at)
                 else:
                     self._fire_pos(p, at)
+                if view.armed is None:  # no refresh re-armed the view
+                    self._arm(view)
             else:  # "deliver"
                 indices, block = payload
                 for index in indices:
@@ -653,10 +689,12 @@ class SimReport:
             ("pow", self.config.miners, self.rewards_pow),
         ) if sum(v for _, v in participants) > 0 and sum(rewards.values()) > 0]
 
+    @property
+    def ratio_mean(self) -> Optional[float]:
+        """Mean post-warm-up ``d_s/d_w``; None before both kinds pass warm-up."""
+        return float(np.mean(self.ratio_samples)) if self.ratio_samples else None
+
     def to_summary_dict(self) -> dict:
-        ratio_mean = (
-            float(np.mean(self.ratio_samples)) if self.ratio_samples else None
-        )
         out = {
             "config": self.config.summary_dict(),
             "blocks": {
@@ -676,7 +714,7 @@ class SimReport:
             "difficulty": {
                 "final_w": self.difficulty_trace_w[-1] if self.difficulty_trace_w else None,
                 "final_s": self.difficulty_trace_s[-1] if self.difficulty_trace_s else None,
-                "ratio_mean_post_warmup": ratio_mean,
+                "ratio_mean_post_warmup": self.ratio_mean,
                 "warmup_blocks": WARMUP_BLOCKS,
             },
             "rewards": {

@@ -117,8 +117,9 @@ def test_fork_choice_maximizes_weight_product():
     s = forge(oracle, tree, root, account=30)
     tree.import_block(s, max(s.timestamp, 20.0), math.inf)
 
+    parents = {tree.block(node_id).parent_id for node_id in tree.nodes}
     best = max(
-        (node_id for node_id in tree.nodes if not tree.node(node_id).children),
+        (node_id for node_id in tree.nodes if node_id not in parents),
         key=lambda node_id: tree.weight_product(node_id),
     )
     assert tree.fork_choice() == best

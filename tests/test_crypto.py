@@ -1,10 +1,15 @@
 """Determinism and uniformity of the hash/signature stand-ins."""
 
+import enum
+import hashlib
 import math
+import struct
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from powpos import crypto, stats
+from powpos.chain import BlockKind
 
 
 def test_hash_is_deterministic():
@@ -94,3 +99,91 @@ def test_genesis_seed_is_stable_per_run_seed():
         crypto.genesis_seed(crypto.HashOracle(1)).value
     assert crypto.genesis_seed(crypto.HashOracle(1)).value != \
         crypto.genesis_seed(crypto.HashOracle(2)).value
+
+
+# -- framing ---------------------------------------------------------------
+# The oracle's documented preimage: per part a one-byte type tag, the body
+# length as 4 bytes big-endian, then the body, fed to BLAKE2b-256 keyed by
+# the low 128 bits of the run seed.
+
+
+class Small(enum.IntEnum):
+    ONE = 1
+
+
+def reference_hash(run_seed, *parts):
+    h = hashlib.blake2b(key=(run_seed % (1 << 128)).to_bytes(16, "big"), digest_size=32)
+    for part in parts:
+        if isinstance(part, crypto.Digest):
+            tag, body = b"D", part.value.to_bytes(32, "big")
+        elif isinstance(part, bytes):
+            tag, body = b"B", part
+        elif isinstance(part, str):
+            tag, body = b"S", part.encode("utf-8")
+        elif isinstance(part, enum.Enum):
+            tag, body = b"E", str(part.value).encode("utf-8")
+        elif isinstance(part, bool):
+            tag, body = b"b", bytes([part])
+        elif isinstance(part, int):
+            size = (part.bit_length() + 8) // 8 + 1
+            tag, body = b"I", part.to_bytes(size, "big", signed=True)
+        else:
+            tag, body = b"F", struct.pack(">d", part)
+        h.update(tag + struct.pack(">I", len(body)) + body)
+    return int.from_bytes(h.digest(), "big")
+
+
+PARTS = st.one_of(
+    st.builds(crypto.Digest, st.integers(0, crypto.TWO_256 - 1)),
+    st.binary(max_size=40),
+    st.text(max_size=12),
+    st.booleans(),
+    st.integers(-(1 << 300), 1 << 300),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([-0.0, math.inf, -math.inf, math.nan]),
+    st.sampled_from(list(BlockKind) + [Small.ONE]),
+)
+
+# One oracle across examples, so that labels hit its cache and overflow it.
+SHARED = crypto.HashOracle(2**130 + 29)
+
+
+@settings(max_examples=300, deadline=None)
+@given(label=st.one_of(st.none(), st.text(max_size=12), st.sampled_from(["block-id", "é"])),
+       parts=st.lists(PARTS, max_size=7))
+@example(label=None, parts=[])
+@example(label="seed-signature", parts=[crypto.Digest(5), b"\x00" * 32])
+@example(label="ü", parts=[True, 1, False, 0, -(1 << 257), 1 << 256, "é", -0.0, math.nan])
+@example(label=None, parts=[BlockKind.POS, True, 1.0, "block-id"])
+def test_hash_matches_documented_framing(label, parts):
+    parts = ([label] if label is not None else []) + parts
+    expected = reference_hash(SHARED.run_seed, *parts)
+    assert SHARED.hash(*parts).value == expected
+    assert SHARED.hash(*parts).value == expected  # again, from a cached label
+    assert crypto.HashOracle(SHARED.run_seed).hash(*parts).value == expected
+
+
+def test_hash_digests_pinned():
+    # Recorded before the oracle kept per-label states.
+    oracle = crypto.HashOracle(1)
+    d = oracle.hash("x")
+    pinned = [
+        ((), "4125068ff593f023c033be912a42433f44682b9cf5d8865ea37b8ec35b5f08a4"),
+        (("seed-signature", d, b"\x01" * 32),
+         "621231fa2ca122ce0916200a540cbbfd81ba95080c92e11762b1c0807c27afeb"),
+        (("block-id", 1 << 300, BlockKind.POS, 1.5, -0.0, math.inf, math.nan, True, False,
+          -5, 0, d), "4ab3186277b3120a3572c407cfeef24abfb77053d5e53b6dba8fc4ed5717130f"),
+        ((d,), "b1de6d461f0c4c33796eac370f70d5c8c5a4a3b1fa0e2f894db8708826ecedc4"),
+        (("ü", "é", b"", "", -(1 << 257)),
+         "e2bb3485eeb67a80b8ea6cb3ec2ff1525fad02770c9044f00de70bd458be4432"),
+        ((True, 1, False, 0), "68ffcafc5007db42581f4bd4ccc6cbd4e9197751344544e8ea77c5fb06dccf0f"),
+    ]
+    for parts, digest in pinned:
+        assert oracle.hash(*parts).hex == digest
+    assert crypto.HashOracle(123456789).hash("derive-seed", "miner", 3).hex == (
+        "fd7a1373e6d8746db70c555aa6fcb20a003653d0af23c3fd0e0f59781678ce1c")
+
+
+def test_hash_rejects_unknown_part_types():
+    with pytest.raises(TypeError):
+        crypto.HashOracle(1).hash("label", [1, 2])

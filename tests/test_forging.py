@@ -168,6 +168,24 @@ def test_early_honest_forging_is_rejected():
     assert early.provenance == "withheld"
 
 
+def test_forging_from_an_evaluated_slot():
+    oracle, tree = frozen_tree()
+    ctx = staker(oracle, 3)
+    root = tree.canonical_tip
+    slot = pos_eligibility(oracle, tree, root, ctx, 100.0)
+    fresh = forge_pos_block(oracle, tree, root, ctx, 100.0)
+    assert forge_pos_block(oracle, tree, root, ctx, 100.0, slot=slot) == fresh
+    with pytest.raises(EligibilityError, match="slot not reached"):
+        forge_pos_block(oracle, tree, root, ctx, 100.0, now=slot.eligible_at - 1.0, slot=slot)
+    # A slot evaluated on another seed anchor or difficulty is refused.
+    other = dataclasses.replace(slot, difficulty=2 * slot.difficulty)
+    with pytest.raises(EligibilityError, match="another seed anchor or difficulty"):
+        forge_pos_block(oracle, tree, root, ctx, 100.0, slot=other)
+    assert tree.import_block(fresh, fresh.timestamp, 10.0) is ImportResult.EXTENDED_CANONICAL
+    with pytest.raises(EligibilityError, match="another seed anchor or difficulty"):
+        forge_pos_block(oracle, tree, fresh.id, ctx, 100.0, slot=slot)
+
+
 def test_zero_power_cannot_forge():
     oracle, tree = frozen_tree()
     with pytest.raises(EligibilityError, match="zero voting power"):

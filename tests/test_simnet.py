@@ -2,14 +2,18 @@
 
 import csv
 import hashlib
+import heapq
 import json
 import math
 import os
+from dataclasses import replace
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import powpos
-from powpos import simnet, stats
+from powpos import forging, simnet, stats
 from powpos.simnet import (
     ConfigError,
     LatencyModel,
@@ -325,6 +329,66 @@ def test_quick_artifact_digests(tmp_path, quick_report):
     assert digests == QUICK_ARTIFACT_SHA256
 
 
+# -- event engine ----------------------------------------------------------
+# One hour each of the quick cast under perfect latency (one shared view)
+# and of the flagship cast under fixed:2 (a view per producer).
+
+ENGINE_HOURS = {
+    "perfect": lambda: quick_config(duration=3600.0),
+    "fixed2": lambda: equilibrium_hour(latency=LatencyModel.fixed(2.0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENGINE_HOURS))
+def test_heap_holds_one_live_production_event_per_view(monkeypatch, name):
+    engine = simnet._Engine(ENGINE_HOURS[name]())
+
+    def checked_heappop(heap):
+        live = set()
+        for at, seq, tag, payload in heap:
+            if tag != "produce" or payload[1] != engine.views[payload[0]].epoch:
+                continue
+            view, _epoch, index = payload
+            assert view not in live, "two live production events for one view"
+            live.add(view)
+            # The view's earliest pending producer, under its own draw's key.
+            p = engine.producers[index]
+            assert (at, seq) == (p.due, p.seq) == engine.views[view].armed
+            assert p is min(engine.by_view[view], key=lambda q: (q.due, q.seq))
+        if heap[0][0] <= engine.config.duration:
+            assert live == {p.view for p in engine.producers if p.due < math.inf}
+        return heapq.heappop(heap)
+
+    monkeypatch.setattr(simnet, "heapq", SimpleNamespace(
+        heappush=heapq.heappush, heappop=checked_heappop))
+    engine.run()
+    assert engine.produced > 100
+
+
+@pytest.mark.parametrize("name", sorted(ENGINE_HOURS))
+def test_pos_block_from_reused_slot_equals_recomputed(monkeypatch, name):
+    engine = simnet._Engine(ENGINE_HOURS[name]())
+    checked = []
+
+    def checked_forge(oracle, tree, parent_id, staker, power, now, slot):
+        block = forging.forge_pos_block(oracle, tree, parent_id, staker, power,
+                                        now=now, slot=slot)
+        fresh_power = engine.ledger.voting_power(staker.account, tree.block(parent_id).height)
+        assert block == forging.forge_pos_block(oracle, tree, parent_id, staker,
+                                                fresh_power, now=now)
+        # The reused slot keeps the honest check that its instant has come.
+        early = math.nextafter(slot.eligible_at, -math.inf)
+        with pytest.raises(forging.EligibilityError):
+            forging.forge_pos_block(oracle, tree, parent_id, staker, power,
+                                    now=early, slot=slot)
+        checked.append(block)
+        return block
+
+    monkeypatch.setattr(simnet, "forge_pos_block", checked_forge)
+    engine.run()
+    assert len(checked) > 50
+
+
 # -- derived metrics -------------------------------------------------------
 
 
@@ -432,3 +496,11 @@ def test_summary_dict_reports_fit_blocks(quick_report):
     assert fits["pow"]["mean"] > fits["all"]["mean"]
     assert summary["config"] == quick_report.config.summary_dict()
     assert "runtime" not in json.dumps(summary)
+
+
+def test_ratio_mean_is_the_reported_mean(quick_report):
+    assert quick_report.to_summary_dict()["difficulty"]["ratio_mean_post_warmup"] == (
+        quick_report.ratio_mean)
+    assert replace(quick_report, ratio_samples=[9.5, 10.0, 11.0]).ratio_mean == (
+        float(np.mean([9.5, 10.0, 11.0])))
+    assert replace(quick_report, ratio_samples=[]).ratio_mean is None
