@@ -8,9 +8,14 @@ mechanical content at this layer and are deliberately absent.
 
 Monte Carlo helpers model each side of a race as aggregate exponential
 event streams (one per block kind), which is exact for our forging rules:
-individual producers merge into a single Poisson process per kind.  Every
-Monte Carlo loop here and in ``slashing`` iterates one race kernel,
-``_race``, which merges such streams into a single sequence of events.
+individual producers merge into a single Poisson process per kind.  Where
+only the final weights matter (the private double spend at frozen
+difficulty, ``double_spend_win_rate``), each side's product depends only on
+its Poisson block count per kind, so all trials come from one numpy draw.
+Every loop whose path matters (live difficulty, trajectories and crossing
+times, the selfish and public-network policies, the long-range replay)
+iterates one race kernel, ``_race``, which merges such streams into a single
+sequence of events.
 """
 
 from __future__ import annotations
@@ -21,6 +26,8 @@ import math
 import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .chain import BlockKind
 from .crypto import HashOracle
@@ -208,7 +215,6 @@ def run_private_double_spend(
     setup: AttackSetup,
     rng_seed: int = 1,
     live_difficulty: bool = False,
-    record_trajectory: bool = True,
 ) -> AttackOutcome:
     """Race a private attacker fork against the honest chain.
 
@@ -226,25 +232,18 @@ def run_private_double_spend(
                             setup.attacker_hash, setup.attacker_stake, params)
     honest = _ChainGrowth(setup.td_wc, setup.td_sc, d_w, d_s,
                           setup.honest_hash, setup.honest_stake, params)
-    att_points: Optional[list] = [] if record_trajectory else None
-    hon_points: Optional[list] = [] if record_trajectory else None
+    att_points, hon_points = [], []
     attacker.run(setup.horizon, oracle.rng("attacker"), att_points)
     honest.run(setup.horizon, oracle.rng("honest"), hon_points)
 
     base = setup.td_wc * setup.td_sc
-    if record_trajectory:
-        merged, crossing, max_ratio = _merge_race(att_points, hon_points, base, base)
-        merged = _decimate(merged)
-    else:
-        merged = []
-        crossing = None
-        max_ratio = (attacker.product / honest.product) if honest.product > 0 else math.inf
+    merged, crossing, max_ratio = _merge_race(att_points, hon_points, base, base)
 
     lhs, feasible = double_spend_feasible(setup)
     return AttackOutcome(
         attacker_won=attacker.product > honest.product,
         crossing_time=crossing,
-        weight_trajectories=merged,
+        weight_trajectories=_decimate(merged),
         final_attacker_product=attacker.product,
         final_honest_product=honest.product,
         max_product_ratio=max_ratio,
@@ -266,12 +265,44 @@ def double_spend_win_rate(
     trials: int = 200,
     rng_seed: int = 1,
 ) -> Tuple[float, List[AttackOutcome]]:
-    """Seeded Monte Carlo over ``trials`` private double-spend races."""
-    return _seeded_trials(
-        lambda seed: run_private_double_spend(config, setup, rng_seed=seed,
-                                              record_trajectory=False),
-        trials, rng_seed,
-    )
+    """Seeded Monte Carlo over ``trials`` private double-spend races.
+
+    Difficulty is frozen at the pre-fork equilibrium, so a side's final
+    product is ``(td_wc + n_w * d_w) * (td_sc + n_s * d_s)`` with its PoW and
+    PoS block counts ``n_w``, ``n_s`` Poisson over the horizon: the law of
+    ``run_private_double_spend``'s frozen race, with every count of every
+    trial taken from one draw.  Outcomes carry no trajectory or crossing
+    time; ``meta["blocks"]`` holds the trial's counts as
+    ``(attacker PoW, attacker PoS, honest PoW, honest PoS)``.
+    """
+    if trials <= 0:
+        raise ValueError("trials must be positive")
+    d_w, d_s = _race_difficulties(setup, config.t)
+    rng = np.random.default_rng(HashOracle(rng_seed).derive_seed("double-spend"))
+    rates = np.array([setup.attacker_hash / d_w, setup.attacker_stake / d_s,
+                      setup.honest_hash / d_w, setup.honest_stake / d_s])
+    counts = rng.poisson(setup.horizon * rates, size=(trials, 4))
+    td_w = setup.td_wc + counts[:, 0::2] * d_w   # columns: attacker, honest
+    td_s = setup.td_sc + counts[:, 1::2] * d_s
+    products = td_w * td_s
+    attacker, honest = products[:, 0], products[:, 1]
+    won = attacker > honest
+    ratio = np.full(trials, math.inf)
+    np.divide(attacker, honest, out=ratio, where=honest > 0)
+
+    lhs, feasible = double_spend_feasible(setup)
+    meta = {"attack": "private_double_spend", "lhs": lhs, "feasible": feasible,
+            "d_w": d_w, "d_s": d_s, "live_difficulty": False, "rng_seed": rng_seed}
+    outcomes = [
+        AttackOutcome(
+            attacker_won=w, crossing_time=None, weight_trajectories=[],
+            final_attacker_product=a, final_honest_product=h, max_product_ratio=r,
+            meta={**meta, "blocks": tuple(n)},
+        )
+        for w, a, h, r, n in zip(won.tolist(), attacker.tolist(), honest.tolist(),
+                                 ratio.tolist(), counts.tolist())
+    ]
+    return int(won.sum()) / trials, outcomes
 
 
 # ---------------------------------------------------------------------------

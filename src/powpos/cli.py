@@ -21,7 +21,7 @@ import sys
 from dataclasses import replace
 from typing import List, Optional
 
-from . import attacks, simnet, slashing
+from . import attacks, simnet, slashing, stats
 from .chain import BlockKind
 
 
@@ -141,7 +141,8 @@ def _run_attack(args) -> int:
             td_wc=100.0, td_sc=100.0, horizon=10_000.0,
         )
         lhs, feasible = attacks.double_spend_feasible(setup)
-        rate, _ = attacks.double_spend_win_rate(config, setup, trials, seed)
+        rate, outcomes = attacks.double_spend_win_rate(config, setup, trials, seed)
+        low, high = stats.wilson_interval(sum(o.attacker_won for o in outcomes), trials)
         sample = attacks.run_private_double_spend(config, setup, rng_seed=seed)
         trajectories = sample.weight_trajectories
         payload.update({
@@ -154,11 +155,12 @@ def _run_attack(args) -> int:
                 "horizon": setup.horizon,
             },
             "lhs": lhs, "feasible": feasible,
-            "trials": trials, "win_rate": rate,
+            "trials": trials, "win_rate": rate, "win_rate_ci95": [low, high],
             "sample_outcome": attacks.outcome_to_dict(sample) | {"weight_trajectories": None},
         })
         print(f"double-spend  lhs={lhs:.1f} feasible={feasible}  "
-              f"win_rate={rate:.3f} over {trials} trials")
+              f"win_rate={rate:.3f} over {trials} trials "
+              f"(95% CI {low:.3f}-{high:.3f})")
     elif name == "long-range":
         trials = args.trials or 100
         report = simnet.run(config)
@@ -224,17 +226,20 @@ def _run_attack(args) -> int:
             return EXIT_CHECK_FAILED
     elif name == "public-double-spend":
         trials = args.trials or 50
-        results = {}
+        results, intervals = {}, {}
         for policy in slashing.StakerPolicy:
-            rate, _ = slashing.public_double_spend_win_rate(
+            rate, outcomes = slashing.public_double_spend_win_rate(
                 config, policy, attacker_hash_share=0.6, trials=trials,
                 rng_seed=seed, duration=20_000.0,
             )
+            low, high = stats.wilson_interval(sum(o.attacker_won for o in outcomes), trials)
             results[policy.value] = rate
+            intervals[policy.value] = [low, high]
             print(f"public-double-spend  policy={policy.value:<17} "
-                  f"win_rate={rate:.3f} over {trials} trials")
+                  f"win_rate={rate:.3f} over {trials} trials "
+                  f"(95% CI {low:.3f}-{high:.3f})")
         payload.update({"attacker_hash_share": 0.6, "trials": trials,
-                        "win_rates": results})
+                        "win_rates": results, "win_rates_ci95": intervals})
     else:  # argparse choices should prevent this
         print(f"unknown attack {name!r}; valid: {', '.join(ATTACK_NAMES)}",
               file=sys.stderr)

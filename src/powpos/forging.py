@@ -118,7 +118,7 @@ def forge_pos_block(
     tree: BlockTree,
     parent_id: int,
     staker: StakerContext,
-    voting_power: float,
+    voting_power: Optional[float] = None,
     now: Optional[float] = None,
     provenance: str = "honest",
     slot: Optional[PosEligibility] = None,
@@ -128,11 +128,14 @@ def forge_pos_block(
     The timestamp is forced to the eligibility instant.  Passing ``now``
     enforces that the slot has arrived; forging ahead of it is reserved for
     flagged attack strategies.  ``slot`` is the staker's slot as
-    ``pos_eligibility`` evaluated it at ``voting_power`` on a chain with
-    ``parent_id``'s seed anchor and PoS difficulty; it is checked against
-    both, and evaluated afresh when omitted.
+    ``pos_eligibility`` evaluated it on a chain with ``parent_id``'s seed
+    anchor and PoS difficulty; it is checked against both, and its power is
+    already in its delay, so ``voting_power`` is read only when ``slot`` is
+    omitted and the slot is evaluated afresh.
     """
     if slot is None:
+        if voting_power is None:
+            raise ValueError("voting_power is required without a slot")
         slot = pos_eligibility(oracle, tree, parent_id, staker, voting_power)
     elif (slot.anchor_id != tree.seed_anchor(parent_id).id
           or slot.difficulty != tree.expected_difficulty(parent_id, BlockKind.POS)):

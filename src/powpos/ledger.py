@@ -45,6 +45,8 @@ class StakeAccount:
         )
 
     def voting_power(self, height: int) -> float:
+        if not self.maturing:
+            return self.active
         return self.active + sum(b.amount for b in self.maturing if b.height <= height)
 
     def liquid_at(self, height: int) -> float:

@@ -554,10 +554,8 @@ class _Engine:
         # on: any other tip would have refreshed the view.
         view = self.views[p.view]
         parent = view.tree.canonical_tip
-        power = self.ledger.voting_power(p.staker.account, view.tree.block(parent).height)
-        block = forge_pos_block(
-            self.oracle, view.tree, parent, p.staker, power, now=now, slot=p.slot
-        )
+        block = forge_pos_block(self.oracle, view.tree, parent, p.staker,
+                                now=now, slot=p.slot)
         self._publish(p, block, now)
 
     def run(self) -> None:

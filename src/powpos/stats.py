@@ -4,13 +4,15 @@ The protocol's block streams should look exponential and reward shares should
 track power shares.  Fitting uses the maximum-likelihood exponential rate
 (1 / sample mean) and goodness of fit uses the one-sample Kolmogorov-Smirnov
 statistic against the fitted CDF, compared to the asymptotic critical value
-``c(alpha) / sqrt(n)`` (1.63 at the 1% level).
+``c(alpha) / sqrt(n)`` (1.63 at the 1% level).  Monte Carlo win rates carry a
+Wilson score interval.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Dict, Sequence
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -121,3 +123,27 @@ def proportionality_score(
         if ps >= min_share:
             worst = max(worst, abs(rs - ps) / ps)
     return worst
+
+
+def wilson_interval(successes: int, trials: int, z: float = 1.96) -> Tuple[float, float]:
+    """Wilson score interval for a binomial rate; ``z`` = 1.96 gives 95 %.
+
+    Unlike the normal approximation it stays inside [0, 1] and keeps a
+    non-zero width at 0 or ``trials`` successes, which is where decisive
+    Monte Carlo attack rates land.
+    """
+    if trials <= 0:
+        raise ValueError("trials must be positive")
+    if not 0 <= successes <= trials:
+        raise ValueError("successes must be in [0, trials]")
+    if not (math.isfinite(z) and z > 0):
+        raise ValueError("z must be positive and finite")
+    p = successes / trials
+    z2 = z * z / trials
+    center = (p + z2 / 2) / (1 + z2)
+    half = z / (1 + z2) * math.sqrt(p * (1 - p) / trials + z2 / (4 * trials))
+    # At 0 or ``trials`` successes the bound is exactly 0 or 1; rounding
+    # could leave it just inside.
+    low = 0.0 if successes == 0 else max(0.0, center - half)
+    high = 1.0 if successes == trials else min(1.0, center + half)
+    return low, high

@@ -4,6 +4,9 @@ stake splitting, and the future-timestamp game."""
 import json
 import math
 import os
+import random
+import statistics
+import warnings
 
 import pytest
 
@@ -166,14 +169,6 @@ def test_private_double_spend_extremes():
     assert times == sorted(times)
 
 
-def test_private_double_spend_without_trajectory():
-    outcome = run_private_double_spend(
-        baseline_config(), make_setup(), rng_seed=1, record_trajectory=False
-    )
-    assert outcome.weight_trajectories == []
-    assert outcome.crossing_time is None
-
-
 def test_private_double_spend_regression_pins():
     # Exact values for one seed, frozen and live difficulty; any drift in the
     # race kernel or the RNG layout shows up here.
@@ -211,6 +206,93 @@ def test_win_rate_grows_with_power():
     assert rate_weak <= 0.1
     with pytest.raises(ValueError):
         double_spend_win_rate(config, weak, trials=0)
+
+
+# -- frozen-difficulty win rate: the Poisson-count kernel -------------------
+
+
+def test_win_rate_is_seeded():
+    config = baseline_config()
+    setup = make_setup(horizon=600.0)
+    rate, outcomes = double_spend_win_rate(config, setup, trials=100, rng_seed=5)
+    again, repeat = double_spend_win_rate(config, setup, trials=100, rng_seed=5)
+    _, other = double_spend_win_rate(config, setup, trials=100, rng_seed=6)
+    assert rate == again
+    assert [outcome_to_dict(o) for o in outcomes] == [outcome_to_dict(o) for o in repeat]
+    assert [o.meta["blocks"] for o in other] != [o.meta["blocks"] for o in outcomes]
+    assert rate == sum(o.attacker_won for o in outcomes) / 100
+    for outcome in outcomes:
+        assert outcome.crossing_time is None and outcome.weight_trajectories == []
+        assert outcome.meta["attack"] == "private_double_spend"
+        assert outcome.meta["live_difficulty"] is False
+
+
+def test_win_rate_stakeless_attacker_forges_no_pos():
+    setup = make_setup(attacker_stake=0.0)
+    rate, outcomes = double_spend_win_rate(baseline_config(), setup, trials=300, rng_seed=2)
+    assert all(o.meta["blocks"][1] == 0 for o in outcomes)
+    assert any(o.meta["blocks"][0] > 0 for o in outcomes)
+    for o in outcomes:
+        n_w = o.meta["blocks"][0]
+        assert o.final_attacker_product == (setup.td_wc + n_w * o.meta["d_w"]) * setup.td_sc
+    assert rate == 0.0
+
+
+def test_win_rate_tie_at_a_near_zero_horizon_loses():
+    rate, outcomes = double_spend_win_rate(
+        baseline_config(), make_setup(horizon=1e-9), trials=200, rng_seed=1)
+    assert rate == 0.0
+    assert all(o.final_attacker_product == o.final_honest_product == 1e7
+               for o in outcomes)
+    assert all(o.max_product_ratio == 1.0 for o in outcomes)
+
+
+def test_win_rate_zero_honest_product_gives_infinite_ratio():
+    # No honest hash and no fork-point work: the honest td_w stays 0.
+    setup = make_setup(honest_hash=0.0, td_wc=0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rate, outcomes = double_spend_win_rate(baseline_config(), setup, trials=50)
+    assert all(o.final_honest_product == 0.0 for o in outcomes)
+    assert all(o.max_product_ratio == math.inf for o in outcomes)
+    assert rate == sum(o.final_attacker_product > 0 for o in outcomes) / 50
+
+
+@pytest.mark.parametrize("setup", [
+    AttackSetup(12.0, 250.0, 30.0, 150.0, td_wc=5000.0, td_sc=2000.0, horizon=400.0),
+    AttackSetup(10.0, 300.0, 30.0, 100.0, td_wc=100.0, td_sc=20_000.0, horizon=300.0),
+], ids=["hash-heavy-fork-point", "stake-heavy-fork-point"])
+def test_win_rate_matches_the_frozen_event_loop(setup):
+    # Per-kind block counts and the win rate of the Poisson-count kernel
+    # against the frozen-difficulty event loop, each over 3000 races.
+    trials = 3000
+    config = baseline_config()
+    d_w, d_s = attacks._race_difficulties(setup, config.t)
+    rng = random.Random(1)
+    loop_counts, loop_wins = [], 0
+    for _ in range(trials):
+        sides = []
+        for hash_power, stake in ((setup.attacker_hash, setup.attacker_stake),
+                                  (setup.honest_hash, setup.honest_stake)):
+            side = attacks._ChainGrowth(setup.td_wc, setup.td_sc, d_w, d_s,
+                                        hash_power, stake)
+            side.run(setup.horizon, rng)
+            sides.append(side)
+        loop_wins += sides[0].product > sides[1].product
+        # In the kernel's order: attacker PoW, attacker PoS, honest PoW, honest PoS.
+        loop_counts.append([count for side in sides for count in (
+            round((side.weights[0] - setup.td_wc) / d_w),
+            round((side.weights[1] - setup.td_sc) / d_s))])
+    rate, outcomes = double_spend_win_rate(config, setup, trials=trials, rng_seed=1)
+    for column in range(4):
+        ours = [o.meta["blocks"][column] for o in outcomes]
+        theirs = [row[column] for row in loop_counts]
+        sigma = math.sqrt((statistics.pvariance(ours) + statistics.pvariance(theirs)) / trials)
+        assert abs(statistics.fmean(ours) - statistics.fmean(theirs)) <= 4 * sigma
+    pooled = (rate + loop_wins / trials) / 2
+    sigma = math.sqrt(pooled * (1 - pooled) * 2 / trials)
+    assert 0 < pooled < 1
+    assert abs(rate - loop_wins / trials) <= 4 * sigma
 
 
 # -- long-range replay -----------------------------------------------------

@@ -239,6 +239,32 @@ def test_attack_split_stake_writes_report(tmp_path, capsys):
     assert code == cli.EXIT_OK
 
 
+def test_attack_double_spend_reports_trials_and_interval(tmp_path, capsys):
+    outdir = str(tmp_path / "attack")
+    code = cli.main(["attack", "double-spend", "--trials", "200", "--out", outdir])
+    assert code == cli.EXIT_OK
+    assert "win_rate=1.000 over 200 trials (95% CI 0.981-1.000)" in capsys.readouterr().out
+    with open(os.path.join(outdir, "attack_report.json"), encoding="utf-8") as fh:
+        payload = json.load(fh)
+    assert payload["trials"] == 200 and payload["win_rate"] == 1.0
+    low, high = payload["win_rate_ci95"]
+    assert low == pytest.approx(1 - 0.01885, abs=5e-6) and high == 1.0
+
+
+def test_attack_public_double_spend_reports_intervals(tmp_path, capsys):
+    outdir = str(tmp_path / "attack")
+    code = cli.main(["attack", "public-double-spend", "--trials", "20", "--out", outdir])
+    assert code == cli.EXIT_OK
+    out = capsys.readouterr().out
+    assert out.count("over 20 trials (95% CI ") == 3
+    with open(os.path.join(outdir, "attack_report.json"), encoding="utf-8") as fh:
+        payload = json.load(fh)
+    assert payload["trials"] == 20
+    assert set(payload["win_rates_ci95"]) == set(payload["win_rates"])
+    for policy, (low, high) in payload["win_rates_ci95"].items():
+        assert 0.0 <= low <= payload["win_rates"][policy] <= high <= 1.0
+
+
 @pytest.mark.parametrize("trials", ["0", "-3", "many"])
 def test_attack_trials_must_be_a_positive_integer(capsys, trials):
     with pytest.raises(SystemExit) as exit_info:

@@ -186,6 +186,17 @@ def test_forging_from_an_evaluated_slot():
         forge_pos_block(oracle, tree, fresh.id, ctx, 100.0, slot=slot)
 
 
+def test_forging_from_a_slot_needs_no_power():
+    oracle, tree = frozen_tree()
+    ctx = staker(oracle, 3)
+    root = tree.canonical_tip
+    slot = pos_eligibility(oracle, tree, root, ctx, 100.0)
+    block = forge_pos_block(oracle, tree, root, ctx, now=slot.eligible_at, slot=slot)
+    assert block == forge_pos_block(oracle, tree, root, ctx, 100.0)
+    with pytest.raises(ValueError, match="voting_power is required"):
+        forge_pos_block(oracle, tree, root, ctx)
+
+
 def test_zero_power_cannot_forge():
     oracle, tree = frozen_tree()
     with pytest.raises(EligibilityError, match="zero voting power"):

@@ -370,8 +370,9 @@ def test_pos_block_from_reused_slot_equals_recomputed(monkeypatch, name):
     engine = simnet._Engine(ENGINE_HOURS[name]())
     checked = []
 
-    def checked_forge(oracle, tree, parent_id, staker, power, now, slot):
-        block = forging.forge_pos_block(oracle, tree, parent_id, staker, power,
+    # Keyword-only: the engine forges from the slot and passes no power.
+    def checked_forge(oracle, tree, parent_id, staker, *, now, slot):
+        block = forging.forge_pos_block(oracle, tree, parent_id, staker,
                                         now=now, slot=slot)
         fresh_power = engine.ledger.voting_power(staker.account, tree.block(parent_id).height)
         assert block == forging.forge_pos_block(oracle, tree, parent_id, staker,
@@ -379,7 +380,7 @@ def test_pos_block_from_reused_slot_equals_recomputed(monkeypatch, name):
         # The reused slot keeps the honest check that its instant has come.
         early = math.nextafter(slot.eligible_at, -math.inf)
         with pytest.raises(forging.EligibilityError):
-            forging.forge_pos_block(oracle, tree, parent_id, staker, power,
+            forging.forge_pos_block(oracle, tree, parent_id, staker,
                                     now=early, slot=slot)
         checked.append(block)
         return block

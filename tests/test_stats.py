@@ -109,3 +109,26 @@ def test_proportionality_score_perfect_and_errors():
         stats.proportionality_score([1.0], [1.0, 2.0])
     with pytest.raises(ValueError):
         stats.proportionality_score([0.0, 0.0], [1.0, 1.0])
+
+
+def test_wilson_interval_known_values():
+    assert stats.wilson_interval(0, 200) == (0.0, pytest.approx(0.01885, abs=5e-6))
+    low, high = stats.wilson_interval(200, 200)
+    assert high == 1.0 and low == pytest.approx(1 - 0.01885, abs=5e-6)
+    # 50/100 at 95 %: the textbook 0.4038-0.5962.
+    assert stats.wilson_interval(50, 100) == (pytest.approx(0.4038, abs=5e-5),
+                                              pytest.approx(0.5962, abs=5e-5))
+    # A wider z widens the interval.
+    assert stats.wilson_interval(5, 20, z=2.576)[0] < stats.wilson_interval(5, 20)[0]
+
+
+def test_wilson_interval_bounds_and_errors():
+    for trials in (1, 2, 7, 20, 50, 200, 10_000):
+        for successes in [*range(0, trials, max(1, trials // 13)), trials]:
+            low, high = stats.wilson_interval(successes, trials)
+            assert 0.0 <= low <= successes / trials <= high <= 1.0
+    for successes, trials in ((0, 0), (-1, 10), (11, 10)):
+        with pytest.raises(ValueError):
+            stats.wilson_interval(successes, trials)
+    with pytest.raises(ValueError):
+        stats.wilson_interval(1, 10, z=math.nan)
