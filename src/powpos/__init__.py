@@ -20,6 +20,7 @@ from .forging import (
     forge_pos_block,
     pos_delay,
     pos_eligibility,
+    pos_lottery,
     pow_solve_time,
     verify_pos_block,
 )
@@ -108,6 +109,7 @@ __all__ = [
     "parse_config_file",
     "pos_delay",
     "pos_eligibility",
+    "pos_lottery",
     "pow_solve_time",
     "quick_config",
     "run",

@@ -32,7 +32,7 @@ import numpy as np
 from .chain import BlockKind
 from .crypto import HashOracle
 from .difficulty import DifficultyParams, adjust
-from .forging import pos_delay
+from .forging import pos_lottery
 from . import stats
 from .simnet import SimConfig, SimReport, run as run_sim
 
@@ -732,19 +732,15 @@ def run_split_stake_nas(
     single_key = oracle.keypair(900_000)
     split_keys = [oracle.keypair(900_001 + i) for i in range(k_splits)]
 
+    # One lottery per round: the single account first, then the split set.
+    stakers = [(single_key, voting)] + list(zip(split_keys, weights))
     single = []
     split = []
     for round_index in range(rounds):
         anchor = oracle.hash("nas-round", round_index)
-        signed = oracle.sign_seed(anchor, single_key.sk)
-        single.append(pos_delay(oracle, signed, d_s, voting))
-        best = math.inf
-        for key, weight in zip(split_keys, weights):
-            signed = oracle.sign_seed(anchor, key.sk)
-            delay = pos_delay(oracle, signed, d_s, weight)
-            if delay < best:
-                best = delay
-        split.append(best)
+        (_, delay), *members = pos_lottery(oracle, anchor, d_s, stakers)
+        single.append(delay)
+        split.append(min(delay for _, delay in members))
 
     ks_two = stats.two_sample_ks(single, split)
     crit_two = stats.two_sample_ks_critical(len(single), len(split))
@@ -810,9 +806,7 @@ def run_future_mining_game(config: SimConfig, with_bob: bool = True,
     genesis_seed = oracle.hash("game-seed")
 
     def delay_for(account: int) -> float:
-        key = oracle.keypair(account)
-        signed = oracle.sign_seed(genesis_seed, key.sk)
-        return pos_delay(oracle, signed, d_s, stake_each)
+        return pos_lottery(oracle, genesis_seed, d_s, [(oracle.keypair(account), stake_each)])[0][1]
 
     # The game needs t_x < min(t_a, t_b) and Bob's timestamp still in the
     # future (beyond the tolerance) when Charlie picks a parent at t_x.

@@ -16,6 +16,9 @@ parts in order.  Calls nearly always lead with a constant string label
 keeps the keyed state after each such label, up to ``_MAX_LABELS`` of them,
 and copies it instead of framing the label again.  The digest is the same
 either way: it depends only on the bytes fed.
+
+``HashOracle.sign_seeds`` frames ``"seed-signature"`` and one seed anchor
+once, into a keyed state that every key's signature copies.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import random
 import struct
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
 TWO_256 = 1 << 256
 
@@ -48,13 +51,15 @@ class Digest:
     @property
     def unit(self) -> float:
         """Map the digest into (0, 1]; zero maps to the smallest positive unit."""
-        if self.value == 0:
-            return MIN_UNIT
-        return self.value / TWO_256
+        return _unit(self.value)
 
     @property
     def hex(self) -> str:
         return format(self.value, "064x")
+
+
+def _unit(value: int) -> float:
+    return value / TWO_256 if value else MIN_UNIT
 
 
 @dataclass(frozen=True, slots=True)
@@ -130,6 +135,14 @@ _ENCODERS = {
 _new_digest = object.__new__
 _set_value = object.__setattr__
 
+
+def _make_digest(raw: bytes) -> Digest:
+    # A 32-byte digest is always in range: skip the constructor's check.
+    digest = _new_digest(Digest)
+    _set_value(digest, "value", int.from_bytes(raw, "big"))
+    return digest
+
+
 # Distinct leading labels whose keyed state one oracle keeps.
 _MAX_LABELS = 64
 
@@ -169,14 +182,26 @@ class HashOracle:
         for part in parts:
             data += _ENCODERS.get(type(part), _encode_part)(part)
         h.update(data)
-        # A 32-byte digest is always in range: skip the constructor's check.
-        digest = _new_digest(Digest)
-        _set_value(digest, "value", int.from_bytes(h.digest(), "big"))
-        return digest
+        return _make_digest(h.digest())
 
     def sign_seed(self, prev: Digest, sk: bytes) -> Digest:
         """Deterministic signature of the previous seed under ``sk``."""
         return self.hash("seed-signature", prev, sk)
+
+    def sign_seeds(self, prev: Digest, sks: Sequence[bytes]) -> Tuple[List[Digest], List[float]]:
+        """Each key's ``sign_seed(prev, sk)``, and the ``unit`` of its ``hash``."""
+        anchored = self._keyed.copy()
+        anchored.update(_encode_str("seed-signature") + _encode_digest(prev))
+        seeds, units = [], []
+        for sk in sks:
+            h = anchored.copy()
+            h.update(_encode_bytes(sk))
+            signed = h.digest()
+            h = self._keyed.copy()
+            h.update(_DIGEST_FRAME + signed)
+            seeds.append(_make_digest(signed))
+            units.append(_unit(int.from_bytes(h.digest(), "big")))
+        return seeds, units
 
     def keypair(self, account: int) -> KeyPair:
         """Deterministic per-account keypair; ``pk`` is the account id."""

@@ -17,6 +17,10 @@ voting power and splitting stake across accounts buys nothing.  The forged
 block's timestamp is the eligibility instant itself, recomputable by any
 validator from the seed, so stakers cannot steer their next draw by shading
 timestamps.
+
+``pos_lottery`` is the one slot kernel: on one seed anchor and ``d_s`` it signs
+every staker's seed in one ``HashOracle.sign_seeds`` pass.  Eligibility,
+verification, the engine and the split-stake attack all draw through it.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Optional
+from typing import List, Optional, Sequence, Tuple
 
 from .chain import Block, BlockKind, BlockTree
 from .crypto import Digest, HashOracle, KeyPair
@@ -66,16 +70,26 @@ def pow_solve_time(miner: MinerContext, d_w: float, rng: random.Random) -> float
         raise ValueError("hash power must be positive")
     return rng.expovariate(miner.hash_power / d_w)
 
-def pos_delay(oracle: HashOracle, signed_seed: Digest, d_s: float, voting_power: float) -> float:
-    """Forging delay for a signed seed; infinite for zero voting power."""
+def _delays(d_s: float, units: Sequence[float], powers: Sequence[float]) -> List[float]:
+    """``d_s * |ln u| / V`` per unit and voting power; infinite for zero power."""
     if d_s <= 0:
         raise ValueError("stake difficulty must be positive")
-    if voting_power < 0:
+    if any(power < 0 for power in powers):
         raise ValueError("voting power must be non-negative")
-    if voting_power == 0:
-        return math.inf
-    unit = oracle.hash(signed_seed).unit
-    return d_s * abs(math.log(unit)) / voting_power
+    return [d_s * abs(math.log(unit)) / power if power else math.inf
+            for unit, power in zip(units, powers)]
+
+
+def pos_delay(oracle: HashOracle, signed_seed: Digest, d_s: float, voting_power: float) -> float:
+    """Forging delay for a signed seed; infinite for zero voting power."""
+    return _delays(d_s, [oracle.hash(signed_seed).unit], [voting_power])[0]
+
+
+def pos_lottery(oracle: HashOracle, seed: Digest, d_s: float,
+                stakers: Sequence[Tuple[KeyPair, float]]) -> List[Tuple[Digest, float]]:
+    """Each ``(key, voting power)``'s signed seed and delay on one seed anchor."""
+    signed, units = oracle.sign_seeds(seed, [key.sk for key, _ in stakers])
+    return list(zip(signed, _delays(d_s, units, [power for _, power in stakers])))
 
 
 def pos_eligibility(
@@ -92,9 +106,9 @@ def pos_eligibility(
     """
     anchor = tree.seed_anchor(parent_id)
     assert anchor.seed is not None
-    signed = oracle.sign_seed(anchor.seed, staker.key.sk)
     difficulty = tree.expected_difficulty(parent_id, BlockKind.POS)
-    delay = pos_delay(oracle, signed, difficulty, voting_power)
+    [(signed, delay)] = pos_lottery(oracle, anchor.seed, difficulty,
+                                    [(staker.key, voting_power)])
     return PosEligibility(
         seed=signed,
         delay=delay,
@@ -211,8 +225,6 @@ def verify_pos_block(
         return False
     anchor = tree.seed_anchor(block.parent_id)
     assert anchor.seed is not None
-    expected_seed = oracle.sign_seed(anchor.seed, producer_key.sk)
-    if block.seed != expected_seed:
-        return False
-    delay = pos_delay(oracle, expected_seed, block.difficulty, voting_power)
-    return block.timestamp == anchor.timestamp + delay
+    [(expected_seed, delay)] = pos_lottery(oracle, anchor.seed, block.difficulty,
+                                           [(producer_key, voting_power)])
+    return block.seed == expected_seed and block.timestamp == anchor.timestamp + delay

@@ -12,19 +12,19 @@ every delivery, mining solve times come from per-miner RNG streams, and
 forging delays are pure functions of chain state, so a run is a
 deterministic function of its configuration.
 
-Scale note: a refresh reads the tip's context (difficulties, seed anchor,
-height) once for all producers bound to a view, expected difficulty is
-memoised per block, and fork choice is updated per import rather than
-rescanned, so neither grows with the number of producers or tips.  The
-draws still do: a refresh redraws every miner's wait and re-evaluates every
-staker whose slot context changed, O(N) in the producers of the view.  The
-heap does not: each view holds one live production event, for its earliest
-pending producer and under the ``(instant, sequence number)`` key of that
-producer's draw, so events fire in draw order and a stored block costs
-about one heap push under perfect latency, not one per producer.  A PoS
-block is built from the slot its refresh already evaluated.  The flagship
-configuration (ten miners, ten stakers, thirty simulated days, a quarter
-million blocks) takes under a minute.
+Scale note: a refresh reads the tip's context once for all producers bound
+to a view, voting power is read once per staker and run, expected
+difficulty is memoised per block, and fork choice is updated per import, so
+none of these grows with the number of producers or tips.  The draws still
+do: a refresh redraws every miner's wait, and the stakers whose seed anchor
+or PoS difficulty changed draw their slots in one ``pos_lottery`` call, two
+oracle digests per staker.  The heap does not: each view holds one live
+production event, for its earliest pending producer and under the
+``(instant, sequence number)`` key of that producer's draw, so events fire
+in draw order and a stored block costs about one heap push under perfect
+latency.  Only the staker that forges gets a ``PosEligibility``.  The
+flagship configuration (ten miners, ten stakers, thirty simulated days, a
+quarter million blocks) takes about half a minute.
 
 Under a latency model the replicas are made with ``BlockTree.replica`` from
 the observer's tree, and the observer imports every block first, so each
@@ -55,7 +55,7 @@ import numpy as np
 
 from . import stats
 from .chain import Block, BlockKind, BlockTree, ImportResult, make_genesis
-from .crypto import HashOracle
+from .crypto import Digest, HashOracle
 from .difficulty import AdaptiveRule, DifficultyParams
 from .forging import (
     MinerContext,
@@ -63,7 +63,8 @@ from .forging import (
     StakerContext,
     build_pow_block,
     forge_pos_block,
-    pos_eligibility,
+    pos_eligibility,  # unused here; call tracers look the forging names up on simnet
+    pos_lottery,
     pow_solve_time,
 )
 from .ledger import Ledger
@@ -385,7 +386,12 @@ class _Producer:
     miner: Optional[MinerContext] = None
     rng: Optional[object] = None
     staker: Optional[StakerContext] = None
-    slot: Optional[PosEligibility] = None
+    # A staker's voting power, and its last draw: seed and delay on ``anchor`` at ``d_s``.
+    power: float = 0.0
+    seed: Optional[Digest] = None
+    delay: float = math.inf
+    anchor: Optional[Block] = None
+    d_s: float = 0.0
 
 
 _pending_key = attrgetter("due", "seq")
@@ -415,6 +421,7 @@ class _Engine:
                     rng=self.oracle.rng("miner", account),
                 )
             )
+        # Stake is active from genesis and rewards are credited after the run.
         for account, _stake in config.stakers:
             view = self._bind_view(shared)
             self.producers.append(
@@ -422,6 +429,7 @@ class _Engine:
                     index=len(self.producers),
                     view=view,
                     staker=StakerContext(account, self.oracle.keypair(account)),
+                    power=self.ledger.voting_power(account, 0),
                 )
             )
         self.by_view: Dict[int, List[_Producer]] = {}
@@ -467,29 +475,26 @@ class _Engine:
         tip = tree.canonical_tip
         d_w = tree.expected_difficulty(tip, BlockKind.POW)
         d_s = tree.expected_difficulty(tip, BlockKind.POS)
-        anchor_id = tree.seed_anchor(tip).id
-        height = tree.block(tip).height
+        anchor = tree.seed_anchor(tip)
+        stale = []
         for p in self.by_view.get(view.index, ()):
             if p.miner is not None:
                 wait = pow_solve_time(p.miner, d_w, p.rng)
                 self._seq += 1
                 p.due, p.seq = now + wait, self._seq
-            else:
-                if (
-                    p.due < math.inf
-                    and p.slot is not None
-                    and p.slot.anchor_id == anchor_id
-                    and p.slot.difficulty == d_s
-                ):
-                    continue  # context unchanged, pending slot still valid
-                power = self.ledger.voting_power(p.staker.account, height)
-                slot = pos_eligibility(self.oracle, tree, tip, p.staker, power)
-                p.slot = slot
-                if math.isfinite(slot.eligible_at):
+            elif not (p.due < math.inf and p.anchor.id == anchor.id and p.d_s == d_s):
+                stale.append(p)  # no pending slot on this anchor and difficulty
+        if stale:
+            # Stakers follow the view's miners: slots take seqs in producer order.
+            assert anchor.seed is not None
+            draws = pos_lottery(self.oracle, anchor.seed, d_s,
+                                [(p.staker.key, p.power) for p in stale])
+            for p, (seed, delay) in zip(stale, draws):
+                p.seed, p.delay, p.anchor, p.d_s = seed, delay, anchor, d_s
+                p.due = max(now, anchor.timestamp + delay)
+                if p.due < math.inf:
                     self._seq += 1
-                    p.due, p.seq = max(now, slot.eligible_at), self._seq
-                else:
-                    p.due = math.inf
+                    p.seq = self._seq
         self._arm(view)
 
     def _publish(self, producer: _Producer, block: Block, now: float) -> None:
@@ -550,12 +555,14 @@ class _Engine:
         self._publish(p, block, now)
 
     def _fire_pos(self, p: _Producer, now: float) -> None:
-        # The tip has the seed anchor and difficulty the slot was evaluated
-        # on: any other tip would have refreshed the view.
+        # The tip has the seed anchor and difficulty the slot was drawn on:
+        # any other tip would have refreshed the view.
         view = self.views[p.view]
         parent = view.tree.canonical_tip
+        at = p.anchor.timestamp
+        slot = PosEligibility(p.seed, p.delay, at + p.delay, p.anchor.id, at, p.d_s)
         block = forge_pos_block(self.oracle, view.tree, parent, p.staker,
-                                now=now, slot=p.slot)
+                                now=now, slot=slot)
         self._publish(p, block, now)
 
     def run(self) -> None:

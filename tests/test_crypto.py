@@ -187,3 +187,26 @@ def test_hash_digests_pinned():
 def test_hash_rejects_unknown_part_types():
     with pytest.raises(TypeError):
         crypto.HashOracle(1).hash("label", [1, 2])
+
+
+# -- batched seed signatures -----------------------------------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(run_seed=st.integers(0, 1 << 140), prev=st.integers(0, crypto.TWO_256 - 1),
+       sks=st.lists(st.binary(max_size=40), max_size=6))
+@example(run_seed=1, prev=0, sks=[b"", b"\x00" * 32, b""])
+def test_sign_seeds_matches_key_by_key_signatures(run_seed, prev, sks):
+    oracle = crypto.HashOracle(run_seed)
+    seeds, units = oracle.sign_seeds(crypto.Digest(prev), sks)
+    expected = [reference_hash(run_seed, "seed-signature", crypto.Digest(prev), sk)
+                for sk in sks]
+    assert [s.value for s in seeds] == expected
+    assert seeds == [oracle.sign_seed(crypto.Digest(prev), sk) for sk in sks]
+    # The unit is the signature's hash's, not the signature's own.
+    assert units == [crypto.Digest(reference_hash(run_seed, s)).unit for s in seeds]
+    assert units == [oracle.hash(s).unit for s in seeds]
+
+
+def test_sign_seeds_of_no_keys_is_empty():
+    assert crypto.HashOracle(1).sign_seeds(crypto.Digest(9), []) == ([], [])

@@ -5,6 +5,7 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from powpos import crypto, difficulty, forging, stats
 from powpos.chain import BlockKind, BlockTree, ImportResult, make_genesis
@@ -16,6 +17,7 @@ from powpos.forging import (
     forge_pos_block,
     pos_delay,
     pos_eligibility,
+    pos_lottery,
     pow_solve_time,
     verify_pos_block,
 )
@@ -116,6 +118,60 @@ def test_eligibility_order_tracks_hash_units_at_equal_power():
     by_unit = sorted(units, key=lambda a: abs(math.log(units[a])))
     assert by_delay == by_unit
     assert len({slots[a].seed for a in slots}) == 8  # distinct signatures
+
+
+# -- slot kernel -----------------------------------------------------------
+
+POWERS = st.one_of(st.just(0.0), st.floats(1e-3, 1e6))
+
+
+@settings(max_examples=120, deadline=None)
+@given(run_seed=st.integers(0, 1 << 70), anchor=st.integers(0, crypto.TWO_256 - 1),
+       d_s=st.floats(1e-3, 1e7),
+       stakers=st.lists(st.tuples(st.integers(0, 10**6), POWERS), max_size=6,
+                        unique_by=lambda s: s[0]))
+@example(run_seed=1, anchor=0, d_s=7600.0, stakers=[(1, 0.0), (2, 10.0), (3, 10.0)])
+def test_lottery_equals_key_by_key_draws(run_seed, anchor, d_s, stakers):
+    oracle = crypto.HashOracle(run_seed)
+    seed = crypto.Digest(anchor)
+    pairs = [(oracle.keypair(account), power) for account, power in stakers]
+    expected = []
+    for key, power in pairs:
+        signed = oracle.sign_seed(seed, key.sk)
+        expected.append((signed, pos_delay(oracle, signed, d_s, power)))
+    assert pos_lottery(oracle, seed, d_s, pairs) == expected
+    for (_, delay), (_, power) in zip(expected, pairs):
+        assert (delay == math.inf) == (power == 0)
+
+    # pos_eligibility on a real tree, anchored past genesis, is unchanged.
+    oracle, tree = frozen_tree(seed=run_seed, d_s=d_s)
+    block = forge_pos_block(oracle, tree, tree.canonical_tip, staker(oracle, 10**7), 1.0)
+    tree.import_block(block)
+    anchor_block = tree.seed_anchor(block.id)
+    assert anchor_block.id == block.id
+    for account, power in stakers:
+        ctx = staker(oracle, account)
+        signed = oracle.sign_seed(anchor_block.seed, ctx.key.sk)
+        delay = pos_delay(oracle, signed, d_s, power)
+        assert pos_eligibility(oracle, tree, block.id, ctx, power) == forging.PosEligibility(
+            seed=signed, delay=delay, eligible_at=block.timestamp + delay,
+            anchor_id=block.id, anchor_timestamp=block.timestamp, difficulty=d_s)
+
+
+def test_lottery_of_no_stakers_is_empty():
+    oracle = crypto.HashOracle(1)
+    assert pos_lottery(oracle, crypto.genesis_seed(oracle), 7600.0, []) == []
+
+
+def test_lottery_rejects_bad_difficulty_and_power():
+    oracle = crypto.HashOracle(1)
+    seed = crypto.genesis_seed(oracle)
+    key = oracle.keypair(1)
+    for d_s in (0.0, -1.0):
+        with pytest.raises(ValueError, match="stake difficulty"):
+            pos_lottery(oracle, seed, d_s, [(key, 10.0)])
+    with pytest.raises(ValueError, match="voting power"):
+        pos_lottery(oracle, seed, 7600.0, [(key, 10.0), (oracle.keypair(2), -1.0)])
 
 
 # -- block construction ----------------------------------------------------

@@ -390,6 +390,42 @@ def test_pos_block_from_reused_slot_equals_recomputed(monkeypatch, name):
     assert len(checked) > 50
 
 
+def test_voting_power_is_read_once_per_staker(monkeypatch):
+    reads = []
+    original = powpos.Ledger.voting_power
+
+    def counted(self, account, height):
+        reads.append(account)
+        return original(self, account, height)
+
+    monkeypatch.setattr(powpos.Ledger, "voting_power", counted)
+    config = quick_config(duration=3600.0)
+    report = simnet.run(config)
+    assert report.pos_blocks > 50
+    assert sorted(reads) == sorted(account for account, _ in config.stakers)
+
+
+def test_oracle_digests_per_stored_block_pinned(monkeypatch):
+    # Every digest the oracle computes: one per ``hash`` call and two per key
+    # of a ``sign_seeds`` batch (the signature and its unit's hash).
+    digests = [0]
+    hash_, sign_seeds = powpos.HashOracle.hash, powpos.HashOracle.sign_seeds
+
+    def counted_hash(self, *parts):
+        digests[0] += 1
+        return hash_(self, *parts)
+
+    def counted_sign_seeds(self, prev, sks):
+        digests[0] += 2 * len(sks)
+        return sign_seeds(self, prev, sks)
+
+    monkeypatch.setattr(powpos.HashOracle, "hash", counted_hash)
+    monkeypatch.setattr(powpos.HashOracle, "sign_seeds", counted_sign_seeds)
+    report = simnet.run(quick_config(duration=3600.0))
+    # Recorded when each staker's slot was two ``hash`` calls.
+    assert (digests[0], report.stored_blocks) == (22483, 1840)
+
+
 # -- derived metrics -------------------------------------------------------
 
 
