@@ -24,7 +24,7 @@ import bisect
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -462,8 +462,9 @@ def _public_race(config: SimConfig, attacker_hash_share: float,
     if total_hash <= 0:
         raise ValueError("config must include miners")
     stake = config.total_stake
-    d_w = total_hash * 2.0 * config.t
-    d_s = stake * 2.0 * config.t if stake > 0 else math.inf
+    d_w, d_s = config.equilibrium_difficulties
+    if stake <= 0:
+        d_s = math.inf
     rates = [
         attacker_hash_share * total_hash / d_w,
         (1.0 - attacker_hash_share) * total_hash / d_w,
@@ -650,19 +651,12 @@ def run_selfish_mining(
     )
 
 
-def selfish_mining_comparison(
-    config: SimConfig,
-    attacker_hash_share: float,
-    rng_seed: int = 1,
-    duration: Optional[float] = None,
-    gamma: float = 0.0,
-) -> Dict[str, SelfishMiningReport]:
+def selfish_mining_comparison(config: SimConfig, attacker_hash_share: float, rng_seed: int = 1,
+                              duration: Optional[float] = None) -> Dict[str, SelfishMiningReport]:
     """Paired run: full network vs a stakerless control on the same seed."""
-    from dataclasses import replace as _replace
-
-    hybrid = run_selfish_mining(config, attacker_hash_share, rng_seed, duration, gamma)
-    control_cfg = _replace(config, stakers=())
-    control = run_selfish_mining(control_cfg, attacker_hash_share, rng_seed, duration, gamma)
+    hybrid = run_selfish_mining(config, attacker_hash_share, rng_seed, duration)
+    control = run_selfish_mining(replace(config, stakers=()), attacker_hash_share,
+                                 rng_seed, duration)
     return {"hybrid": hybrid, "pow_only": control}
 
 
@@ -776,15 +770,13 @@ class FutureMiningTranscript:
     events: List[str]
     weight_terms: Dict[str, float]
     checks: Dict[str, bool]
-    forked: bool
 
     @property
     def all_checks_pass(self) -> bool:
         return all(self.checks.values())
 
 
-def run_future_mining_game(config: SimConfig, with_bob: bool = True,
-                           rng_seed: int = 1) -> FutureMiningTranscript:
+def run_future_mining_game(config: SimConfig, rng_seed: int = 1) -> FutureMiningTranscript:
     """Script the early-published-future-block game and audit the weights.
 
     Four players: staker Alice publishes her block at its forced timestamp
@@ -792,8 +784,7 @@ def run_future_mining_game(config: SimConfig, with_bob: bool = True,
     t_b; miners Charlie (ignores future blocks) and David (mines on
     anything) split the hash power evenly.  Timestamps t_a and t_b come
     from the real seed-chain lottery; the miners' common solve time t_x is
-    placed before both, as the game requires.  Without Bob there is nothing
-    to fork over.
+    placed before both, as the game requires.
     """
     oracle = HashOracle(rng_seed)
     t = config.t
@@ -825,16 +816,6 @@ def run_future_mining_game(config: SimConfig, with_bob: bool = True,
     events: List[str] = []
     terms: Dict[str, float] = {"W(B_0)": base_w * base_s, "d_w": d_w, "d_s": d_s}
     checks: Dict[str, bool] = {}
-
-    if not with_bob:
-        events.append(f"t=0: no future publisher; both miners mine on B_0")
-        events.append(f"t={t_x:.3f}: single PoW block extends B_0")
-        events.append(f"t={t_a:.3f}: Alice's PoS block extends the same chain")
-        checks["never_forked"] = True
-        return FutureMiningTranscript(
-            t_a=t_a, t_b=t_b, t_x=t_x, events=events,
-            weight_terms=terms, checks=checks, forked=False,
-        )
 
     events.append(
         f"t=0: Bob publishes PoS block B_s1b early, forced timestamp {t_b:.3f}; "
@@ -887,7 +868,7 @@ def run_future_mining_game(config: SimConfig, with_bob: bool = True,
 
     return FutureMiningTranscript(
         t_a=t_a, t_b=t_b, t_x=t_x, events=events,
-        weight_terms=terms, checks=checks, forked=True,
+        weight_terms=terms, checks=checks,
     )
 
 
@@ -915,14 +896,3 @@ def write_attack_report(outdir: str, payload: dict,
                 fh.write(f"{when!r},{att!r},{hon!r}\n")
         paths.append(csv_path)
     return paths
-
-
-def outcome_to_dict(outcome: AttackOutcome) -> dict:
-    return {
-        "attacker_won": outcome.attacker_won,
-        "crossing_time": outcome.crossing_time,
-        "final_attacker_product": outcome.final_attacker_product,
-        "final_honest_product": outcome.final_honest_product,
-        "max_product_ratio": outcome.max_product_ratio,
-        "meta": outcome.meta,
-    }

@@ -6,7 +6,9 @@ Subcommands:
   artifact set (report.json, interarrivals.csv, rewards.csv,
   difficulty.csv, blocks.jsonl).
 * ``attack``: run a named adversary scenario and emit attack_report.json.
-* ``check``: reduced-scale invariant suites for quick health checks.
+* ``check``: reduced-scale invariant suites for quick health checks.  Each
+  suite in ``CHECKS`` runs at its own scale and pinned seed and judges the
+  result only through ``criteria``, which the acceptance tests call too.
 * ``stats``: recompute summary statistics from a blocks.jsonl dump, through
   the same ``simnet`` summary code and gap lines as ``simulate``.
 
@@ -18,10 +20,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from typing import List, Optional
 
-from . import attacks, simnet, slashing, stats
+from . import attacks, criteria, simnet, slashing, stats
 from .chain import BlockKind
 
 
@@ -32,14 +34,6 @@ ATTACK_NAMES = (
     "split-stake",
     "future-mining",
     "public-double-spend",
-)
-
-CHECK_SUITES = (
-    "poisson-merge",
-    "fairness",
-    "difficulty-convergence",
-    "split-stake",
-    "slashing-negatives",
 )
 
 EXIT_OK = 0
@@ -112,12 +106,6 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _attack_config(args) -> simnet.SimConfig:
-    if args.config:
-        return simnet.parse_config_file(args.config)
-    return simnet.quick_config()
-
-
 def cmd_attack(args) -> int:
     try:
         return _run_attack(args)
@@ -127,7 +115,7 @@ def cmd_attack(args) -> int:
 
 
 def _run_attack(args) -> int:
-    config = _attack_config(args)
+    config = simnet.parse_config_file(args.config) if args.config else simnet.quick_config()
     seed = args.seed if args.seed is not None else 1
     name = args.name
     payload: dict = {"attack": name, "rng_seed": seed}
@@ -146,17 +134,10 @@ def _run_attack(args) -> int:
         sample = attacks.run_private_double_spend(config, setup, rng_seed=seed)
         trajectories = sample.weight_trajectories
         payload.update({
-            "setup": {
-                "attacker_hash": setup.attacker_hash,
-                "attacker_stake": setup.attacker_stake,
-                "honest_hash": setup.honest_hash,
-                "honest_stake": setup.honest_stake,
-                "td_wc": setup.td_wc, "td_sc": setup.td_sc,
-                "horizon": setup.horizon,
-            },
+            "setup": asdict(setup),
             "lhs": lhs, "feasible": feasible,
             "trials": trials, "win_rate": rate, "win_rate_ci95": [low, high],
-            "sample_outcome": attacks.outcome_to_dict(sample) | {"weight_trajectories": None},
+            "sample_outcome": asdict(sample) | {"weight_trajectories": None},
         })
         print(f"double-spend  lhs={lhs:.1f} feasible={feasible}  "
               f"win_rate={rate:.3f} over {trials} trials "
@@ -201,30 +182,22 @@ def _run_attack(args) -> int:
         rounds = args.trials or 100_000
         result = attacks.run_split_stake_nas(config, k_splits=10, rounds=rounds,
                                              rng_seed=seed)
-        payload.update({
-            "rounds": result.rounds, "k_splits": result.k_splits,
-            "ks_two_sample": result.ks_two_sample,
-            "ks_two_sample_critical": result.ks_two_sample_critical,
-            "indistinguishable": result.indistinguishable,
-        })
+        payload.update({key: getattr(result, key) for key in (
+            "rounds", "k_splits", "ks_two_sample", "ks_two_sample_critical",
+            "indistinguishable")})
         print(f"split-stake  k=10 rounds={rounds}  ks={result.ks_two_sample:.5f} "
               f"(crit {result.ks_two_sample_critical:.5f})  "
               f"indistinguishable={result.indistinguishable}")
     elif name == "future-mining":
         transcript = attacks.run_future_mining_game(config, rng_seed=seed)
-        payload.update({
-            "t_a": transcript.t_a, "t_b": transcript.t_b, "t_x": transcript.t_x,
-            "events": transcript.events,
-            "weight_terms": transcript.weight_terms,
-            "checks": transcript.checks,
-        })
+        payload.update(asdict(transcript))
         for line in transcript.events:
             print(line)
         status = "pass" if transcript.all_checks_pass else "FAIL"
         print(f"future-mining checks: {status}")
         if not transcript.all_checks_pass:
             return EXIT_CHECK_FAILED
-    elif name == "public-double-spend":
+    else:  # public-double-spend; argparse admits only ATTACK_NAMES
         trials = args.trials or 50
         results, intervals = {}, {}
         for policy in slashing.StakerPolicy:
@@ -240,10 +213,6 @@ def _run_attack(args) -> int:
                   f"(95% CI {low:.3f}-{high:.3f})")
         payload.update({"attacker_hash_share": 0.6, "trials": trials,
                         "win_rates": results, "win_rates_ci95": intervals})
-    else:  # argparse choices should prevent this
-        print(f"unknown attack {name!r}; valid: {', '.join(ATTACK_NAMES)}",
-              file=sys.stderr)
-        return EXIT_CONFIG
 
     if args.out:
         try:
@@ -256,87 +225,43 @@ def _run_attack(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Check suites (reduced scale, pinned seeds)
+# Check suites: each runs at its own reduced scale and pinned seed, and judges
+# only through ``criteria``, the functions the acceptance tests call.
 
 
-def _check_poisson_merge() -> List[str]:
-    # Start at the equilibrium difficulties so the whole day is stationary;
-    # the merge law is about steady state, not the controller ramp.
-    probe = simnet.baseline_config()
-    config = simnet.baseline_config(
-        duration=86_400.0,
-        d_genesis_w=probe.total_hash * 2.0 * probe.t,
-        d_genesis_s=probe.total_stake * 2.0 * probe.t,
-    )
-    summary = simnet.run(config).to_summary_dict()
-    blocks, fits = summary["blocks"], summary["interarrivals"]
-    failures = []
-    split = abs(blocks["pos"] - blocks["pow"]) / max(blocks["total"], 1)
-    if split > 0.02:
-        failures.append(f"pos/pow split off by {split * 100:.2f}% (limit 2%)")
-    mean = fits["all"]["mean"]
-    if not 0.9 * config.t <= mean <= 1.15 * config.t:
-        failures.append(f"combined mean gap {mean:.3f}s not near t={config.t}")
-    for cls, fit in fits.items():
-        if "ks" in fit and fit["ks"] >= fit["ks_critical_1pct"]:
-            failures.append(f"{cls} gaps fail exponential KS "
-                            f"({fit['ks']:.5f} >= {fit['ks_critical_1pct']:.5f})")
-    return failures
+def _check_poisson_merge() -> List[criteria.Verdict]:
+    # From equilibrium difficulty the whole day is stationary, so the merge
+    # law is judged on the whole chain's gaps, with no warm-up to cut.
+    d_w, d_s = simnet.baseline_config().equilibrium_difficulties
+    report = simnet.run(simnet.baseline_config(
+        duration=86_400.0, d_genesis_w=d_w, d_genesis_s=d_s))
+    return [criteria.pow_pos_balance(report),
+            criteria.interarrival_moments(report.interarrivals),
+            criteria.exponential_gaps(report.interarrivals)]
 
 
-def _check_fairness() -> List[str]:
-    config = simnet.baseline_config(duration=5 * 86_400.0)
-    report = simnet.run(config)
-    failures = []
-    for cls, score in simnet.fairness_scores(report).items():
-        if score >= 0.05:
-            failures.append(f"{cls} proportionality {score:.4f} >= 0.05")
-    return failures
+def _check_fairness() -> List[criteria.Verdict]:
+    report = simnet.run(simnet.baseline_config(duration=5 * 86_400.0))
+    return [criteria.reward_proportionality(report)]
 
 
-def _check_difficulty_convergence() -> List[str]:
-    config = simnet.baseline_config(duration=2 * 86_400.0)
-    report = simnet.run(config)
-    failures = []
-    ratio = report.ratio_mean
-    if ratio is None:
-        return ["run too short to pass warm-up"]
-    if not 8.5 <= ratio <= 11.5:
-        failures.append(f"d_s/d_w mean {ratio:.3f} outside [8.5, 11.5]")
-    target = config.total_hash * 2.0 * config.t
-    tail = report.difficulty_trace_w[simnet.WARMUP_BLOCKS:]
-    low, high = min(tail) / target, max(tail) / target
-    if low < 0.7 or high > 1.4:
-        failures.append(f"d_w wandered to [{low:.3f}, {high:.3f}]x target")
-    return failures
+def _check_difficulty_convergence() -> List[criteria.Verdict]:
+    report = simnet.run(simnet.baseline_config(duration=2 * 86_400.0))
+    return [criteria.difficulty_equilibrium(report)]
 
 
-def _check_split_stake() -> List[str]:
-    config = simnet.quick_config()
-    result = attacks.run_split_stake_nas(config, k_splits=10, rounds=20_000)
-    failures = []
-    if not result.indistinguishable:
-        failures.append(
-            f"split vs single KS {result.ks_two_sample:.5f} exceeds "
-            f"{result.ks_two_sample_critical:.5f}")
-    if result.ks_split_vs_model >= result.ks_model_critical:
-        failures.append("split min-delay rejects the pooled-rate model")
-    return failures
+def _check_split_stake() -> List[criteria.Verdict]:
+    result = attacks.run_split_stake_nas(simnet.quick_config(), k_splits=10, rounds=20_000)
+    return [criteria.stake_splitting(result)]
 
 
-def _check_slashing_negatives() -> List[str]:
+def _check_slashing_negatives() -> List[criteria.Verdict]:
     config = simnet.baseline_config(duration=7_200.0)
-    report = simnet.run(config)
-    rows = list(report.tree.dump_rows())
-    failures = []
-    found = slashing.detect_all(rows)
-    if found:
-        failures.append(f"honest run produced {len(found)} evidence entries")
+    rows = list(simnet.run(config).tree.dump_rows())
     # The detectors must also stay blind to deliberate stake splitting.
     split = attacks.run_split_stake_nas(config, k_splits=5, rounds=1_000)
-    if not split.indistinguishable:
-        failures.append("split-stake strategy is distinguishable, should not be")
-    return failures
+    return [criteria.honest_negatives([len(slashing.detect_all(rows))]),
+            criteria.stake_splitting(split)]
 
 
 CHECKS = {
@@ -352,7 +277,7 @@ def cmd_check(args) -> int:
     suites = list(CHECKS) if args.suite == "all" else [args.suite]
     failed = []
     for suite in suites:
-        failures = CHECKS[suite]()
+        failures = [detail for passed, detail in CHECKS[suite]() if not passed]
         if failures:
             failed.append(suite)
             for reason in failures:
@@ -426,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     atk.set_defaults(func=cmd_attack)
 
     chk = sub.add_parser("check", help="run reduced-scale invariant suites")
-    chk.add_argument("suite", choices=CHECK_SUITES + ("all",))
+    chk.add_argument("suite", choices=[*CHECKS, "all"])
     chk.set_defaults(func=cmd_check)
 
     st = sub.add_parser("stats", help="recompute statistics from a dump")

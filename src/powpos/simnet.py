@@ -34,8 +34,9 @@ that receives the block then: one event per block under ``fixed:``, one per
 replica under ``uniform:``.  A block still costs one validated import per
 replica, and the cost per stored block does not grow with the horizon.
 
-Reports, ``powpos stats`` and ``powpos check`` summarise a canonical chain
-through ``canonical_series`` and ``interarrival_summary``, so they agree.
+Reports and ``powpos stats`` summarise a canonical chain through
+``canonical_series`` and ``interarrival_summary``, so they agree; ``criteria``
+judges the reports that ``powpos check`` and the acceptance tests run.
 """
 
 from __future__ import annotations
@@ -236,6 +237,11 @@ class SimConfig:
     @property
     def total_hash(self) -> float:
         return sum(v for _, v in self.miners)
+
+    @property
+    def equilibrium_difficulties(self) -> Tuple[float, float]:
+        """``(d_w, d_s)`` at which each kind's total power yields one block per ``2t``."""
+        return self.total_hash * 2.0 * self.t, self.total_stake * 2.0 * self.t
 
     def summary_dict(self) -> dict:
         return {
@@ -695,6 +701,11 @@ class SimReport:
         ) if sum(v for _, v in participants) > 0 and sum(rewards.values()) > 0]
 
     @property
+    def same_second_excess(self) -> int:
+        """Canonical blocks beyond the first in each occupied whole second."""
+        return sum((n - 1) * seconds for n, seconds in self.seconds_histogram.items())
+
+    @property
     def ratio_mean(self) -> Optional[float]:
         """Mean post-warm-up ``d_s/d_w``; None before both kinds pass warm-up."""
         return float(np.mean(self.ratio_samples)) if self.ratio_samples else None
@@ -833,19 +844,8 @@ def orphan_proxy(report: SimReport) -> float:
     if report.total_blocks == 0:
         return 0.0
     if report.config.latency.is_perfect:
-        extra = sum((n - 1) * seconds for n, seconds in report.seconds_histogram.items())
-        return extra / report.total_blocks
+        return report.same_second_excess / report.total_blocks
     return report.orphan_count / max(report.stored_blocks, 1)
-
-
-def fairness_scores(report: SimReport, min_share: float = 0.03) -> Dict[str, float]:
-    """Per-class proportionality scores (worst relative deviation)."""
-    return {
-        cls: stats.proportionality_score(
-            [v for _, v in participants], [rewards.get(a, 0.0) for a, _ in participants],
-            min_share=min_share)
-        for cls, participants, rewards in report.rewarded_classes()
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -23,11 +23,11 @@ revenue (1-a)R - a*n*R to stay positive at orphan rate a.
 from __future__ import annotations
 
 import enum
+import itertools
 import json
 import math
-import os
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .attacks import ATTACKER, HONEST, _public_race, _race, _seeded_trials
 from .crypto import HashOracle
@@ -41,7 +41,6 @@ POS = "pos"
 class EvidenceKind(enum.Enum):
     DOUBLE_PRODUCTION = "double_production"
     WEIGHT_TIMESTAMP = "weight_timestamp"
-    DUNKLE = "dunkle"
 
 
 @dataclass(frozen=True, slots=True)
@@ -50,14 +49,6 @@ class Evidence:
     staker: int
     blocks: Tuple[str, str]
     details: dict
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind.value,
-            "staker": self.staker,
-            "blocks": list(self.blocks),
-            "details": self.details,
-        }
 
 
 def _pos_rows(rows: Sequence[dict]) -> List[dict]:
@@ -85,10 +76,6 @@ def detect_double_production(rows: Sequence[dict]) -> List[Evidence]:
     return evidence
 
 
-def _parent_weight(row: dict, products: Dict[Optional[str], float]) -> float:
-    return products[row["parent"]]
-
-
 def detect_weight_timestamp_violation(rows: Sequence[dict]) -> List[Evidence]:
     """Flag stakers who extended a no-heavier chain at a no-earlier time.
 
@@ -110,7 +97,7 @@ def detect_weight_timestamp_violation(rows: Sequence[dict]) -> List[Evidence]:
         best_row = None
         best_weight = -math.inf
         for row in blocks:
-            weight = _parent_weight(row, products)
+            weight = products[row["parent"]]
             if best_row is not None and best_weight >= weight:
                 evidence.append(
                     Evidence(
@@ -279,18 +266,12 @@ def run_public_double_spend(
     crossing = None
 
     # Round-robin staker attribution weighted by stake, for settlement.
-    staker_cycle: List[int] = []
-    for account, amount in config.stakers:
-        staker_cycle.extend([account] * max(1, round(amount)))
+    stakers = itertools.cycle([account for account, amount in config.stakers
+                               for _ in range(max(1, round(amount)))])
     forges_att: Dict[int, int] = {}
     forges_hon: Dict[int, int] = {}
-    forge_index = 0
-
-    def forging_staker() -> int:
-        nonlocal forge_index
-        account = staker_cycle[forge_index % len(staker_cycle)]
-        forge_index += 1
-        return account
+    both = staker_policy is StakerPolicy.SUPPORT_BOTH
+    follow = staker_policy is StakerPolicy.FOLLOW_HASH_POWER  # else HONEST_ONLY
 
     for now, stream in _race(rng, rates, horizon):
         if stream == ATTACKER:
@@ -299,28 +280,17 @@ def run_public_double_spend(
         elif stream == HONEST:
             hon_w += d_w
             hon_pow += 1
-        else:
-            account = forging_staker() if staker_cycle else -1
-            if staker_policy is StakerPolicy.SUPPORT_BOTH:
+        else:  # the stakers' stream fires only with stake configured
+            account = next(stakers)
+            on_attacker = both or (follow and att_w > hon_w)
+            if on_attacker:
                 att_s += d_s
-                hon_s += d_s
                 pos_att += 1
-                pos_hon += 1
                 forges_att[account] = forges_att.get(account, 0) + 1
-                forges_hon[account] = forges_hon.get(account, 0) + 1
-            elif staker_policy is StakerPolicy.HONEST_ONLY:
+            if not (follow and on_attacker):  # a follower backs one branch only
                 hon_s += d_s
                 pos_hon += 1
                 forges_hon[account] = forges_hon.get(account, 0) + 1
-            else:  # FOLLOW_HASH_POWER
-                if att_w > hon_w:
-                    att_s += d_s
-                    pos_att += 1
-                    forges_att[account] = forges_att.get(account, 0) + 1
-                else:
-                    hon_s += d_s
-                    pos_hon += 1
-                    forges_hon[account] = forges_hon.get(account, 0) + 1
         if crossing is None and att_w * att_s > hon_w * hon_s:
             crossing = now
 
@@ -374,16 +344,7 @@ def public_double_spend_win_rate(
 
 
 # ---------------------------------------------------------------------------
-# Serialization
-
-
-def write_evidence(evidence: Iterable[Evidence], path: str, force: bool = False) -> str:
-    if os.path.exists(path) and not force:
-        raise FileExistsError(f"{path} exists; pass force to overwrite")
-    payload = [e.to_dict() for e in evidence]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-    return path
+# Dumps
 
 
 ROW_KEYS = frozenset(("id", "parent", "kind", "difficulty", "timestamp", "height",

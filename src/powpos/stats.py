@@ -100,11 +100,8 @@ def fit_exponential(samples: Sequence[float]) -> FitResult:
     )
 
 
-def proportionality_score(
-    power: Sequence[float],
-    reward: Sequence[float],
-    min_share: float = 0.03,
-) -> float:
+def proportionality_score(power: Sequence[float], reward: Sequence[float],
+                          min_share: float) -> float:
     """Worst relative deviation of reward share from power share.
 
     Participants below ``min_share`` of total power are too noisy to score

@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from powpos import cli, stats
+from powpos import cli, criteria, simnet, stats
 
 
 SMALL_CFG = """
@@ -290,11 +290,20 @@ def test_attack_rejects_unknown_name():
     assert exit_info.value.code == 2
 
 
-# poisson-merge and difficulty-convergence read the report's summary dict.
+# poisson-merge and difficulty-convergence judge a whole report through criteria.
 @pytest.mark.parametrize("suite", ["split-stake", "poisson-merge", "difficulty-convergence"])
 def test_check_split_stake_suite(capsys, suite):
     assert cli.main(["check", suite]) == cli.EXIT_OK
     assert f"ok   {suite}" in capsys.readouterr().out
+
+
+def test_check_failure_names_the_suite(monkeypatch, capsys):
+    monkeypatch.setattr(simnet, "run", lambda config: None)  # no 5-day run
+    monkeypatch.setattr(criteria, "reward_proportionality", lambda report: (False, "pow 0.06"))
+    assert cli.main(["check", "fairness"]) == cli.EXIT_CHECK_FAILED
+    out, err = capsys.readouterr()
+    assert out == "FAIL fairness: pow 0.06\n"
+    assert err == "failed suites: fairness\n"
 
 
 def test_main_requires_a_subcommand():

@@ -13,14 +13,13 @@ import numpy as np
 import pytest
 
 import powpos
-from powpos import forging, simnet, stats
+from powpos import criteria, forging, simnet, stats
 from powpos.simnet import (
     ConfigError,
     LatencyModel,
     SimConfig,
     baseline_config,
     canonical_series,
-    fairness_scores,
     interarrival_summary,
     orphan_proxy,
     parse_config_file,
@@ -37,6 +36,7 @@ def test_baseline_participant_totals():
     config = baseline_config()
     assert config.total_hash == 38.0
     assert config.total_stake == 380.0
+    assert config.equilibrium_difficulties == (760.0, 7600.0)
     assert len(config.miners) == len(config.stakers) == 10
     assert config.duration == 30 * 86400.0
 
@@ -274,13 +274,8 @@ def test_flagship_golden_digest(baseline_report):
 
 def equilibrium_hour(**overrides):
     """One hour of the flagship cast from equilibrium difficulty."""
-    base = baseline_config()
-    return baseline_config(
-        duration=3600.0,
-        d_genesis_w=base.total_hash * 2.0 * base.t,
-        d_genesis_s=base.total_stake * 2.0 * base.t,
-        **overrides,
-    )
+    d_w, d_s = baseline_config().equilibrium_difficulties
+    return baseline_config(duration=3600.0, d_genesis_w=d_w, d_genesis_s=d_s, **overrides)
 
 
 def test_latency_golden_digest():
@@ -442,6 +437,7 @@ def test_poisson_collision_fraction_closed_form():
 def test_orphan_proxy_matches_histogram_arithmetic(quick_report):
     r = quick_report
     extra = sum((k - 1) * v for k, v in r.seconds_histogram.items())
+    assert r.same_second_excess == extra
     assert orphan_proxy(r) == pytest.approx(extra / r.total_blocks)
 
 
@@ -487,7 +483,7 @@ def test_fairness_rows_and_scores(tmp_path, quick_report):
         class_rows = [r for r in rows if r["class"] == cls]
         assert [(int(r["account"]), float(r["power"])) for r in class_rows] == list(participants)
         assert [float(r["reward"]) for r in class_rows] == [rewards[a] for a, _ in participants]
-    scores = fairness_scores(quick_report)
+    scores = criteria.fairness_scores(quick_report)
     assert set(scores) == {"pos", "pow"}
     assert all(0.0 <= s < 0.5 for s in scores.values())
 

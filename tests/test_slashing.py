@@ -1,7 +1,6 @@
 """Misbehavior detectors, dunkle settlements, and the public fork game."""
 
 import json
-import math
 
 import pytest
 
@@ -9,7 +8,6 @@ import powpos
 from powpos.ledger import Ledger
 from powpos.simnet import baseline_config, quick_config
 from powpos.slashing import (
-    Evidence,
     EvidenceKind,
     StakerPolicy,
     apply_penalties,
@@ -22,7 +20,6 @@ from powpos.slashing import (
     public_double_spend_win_rate,
     run_public_double_spend,
     split_canonical,
-    write_evidence,
 )
 
 
@@ -283,25 +280,6 @@ def test_public_double_spend_validation():
 
 
 # -- serialization ---------------------------------------------------------
-
-
-def test_write_evidence_round_trip(tmp_path):
-    evidence = detect_double_production([
-        row("g", None, "genesis", -1, 0.0, 0, 1.0, 1.0),
-        row("a", "g", "pos", 4, 1.0, 1, 1.0, 2.0),
-        row("b", "g", "pos", 4, 2.0, 1, 1.0, 2.0),
-    ])
-    path = str(tmp_path / "evidence.json")
-    assert write_evidence(evidence, path) == path
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    assert payload == [e.to_dict() for e in evidence]
-    assert payload[0]["kind"] == "double_production"
-    with pytest.raises(FileExistsError):
-        write_evidence(evidence, path)
-    write_evidence([], path, force=True)
-    with open(path, encoding="utf-8") as fh:
-        assert json.load(fh) == []
 
 
 def test_load_rows_reads_jsonl(tmp_path):

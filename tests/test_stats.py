@@ -104,11 +104,11 @@ def test_proportionality_score_skips_small_shares():
 
 
 def test_proportionality_score_perfect_and_errors():
-    assert stats.proportionality_score([1.0, 2.0], [3.0, 6.0]) == 0.0
+    assert stats.proportionality_score([1.0, 2.0], [3.0, 6.0], min_share=0.03) == 0.0
     with pytest.raises(ValueError):
-        stats.proportionality_score([1.0], [1.0, 2.0])
+        stats.proportionality_score([1.0], [1.0, 2.0], min_share=0.03)
     with pytest.raises(ValueError):
-        stats.proportionality_score([0.0, 0.0], [1.0, 1.0])
+        stats.proportionality_score([0.0, 0.0], [1.0, 1.0], min_share=0.03)
 
 
 def test_wilson_interval_known_values():
