@@ -3,7 +3,7 @@
 Two independent block lotteries (hash power and stake) extend one tree;
 the canonical chain maximizes the product of accumulated PoW and PoS
 difficulty.  This package provides the protocol rules (forging,
-difficulty control, fork choice, stake lifecycle), a discrete-event
+difficulty control, fork choice, genesis stake map), a discrete-event
 network simulator, adversary scenarios, and slashing analysis, all
 deterministic under a single run seed.
 """
@@ -24,7 +24,7 @@ from .forging import (
     pow_solve_time,
     verify_pos_block,
 )
-from .ledger import Ledger, LedgerError, StakeAccount
+from .ledger import Ledger
 from .simnet import (
     ConfigError,
     LatencyModel,
@@ -82,12 +82,10 @@ __all__ = [
     "KeyPair",
     "LatencyModel",
     "Ledger",
-    "LedgerError",
     "MinerContext",
     "PosEligibility",
     "SimConfig",
     "SimReport",
-    "StakeAccount",
     "StakerContext",
     "StakerPolicy",
     "WeightPair",

@@ -191,9 +191,6 @@ class BlockTree:
             raise KeyError(f"unknown block {tip_id:#x}")
         return self.nodes[tip_id].weight
 
-    def weight_product(self, tip_id: int) -> float:
-        return self.chain_weight(tip_id).product
-
     def last_two_of_kind(
         self, parent_id: int, kind: BlockKind
     ) -> Tuple[Optional[Block], Optional[Block]]:

@@ -53,10 +53,6 @@ class Digest:
         """Map the digest into (0, 1]; zero maps to the smallest positive unit."""
         return _unit(self.value)
 
-    @property
-    def hex(self) -> str:
-        return format(self.value, "064x")
-
 
 def _unit(value: int) -> float:
     return value / TWO_256 if value else MIN_UNIT

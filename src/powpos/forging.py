@@ -63,12 +63,13 @@ class PosEligibility:
 
 
 def pow_solve_time(miner: MinerContext, d_w: float, rng: random.Random) -> float:
-    """Exponential solve wait at rate ``hash_power / d_w``."""
+    """Exponential wait at rate ``hash_power / d_w``; infinite if that rate underflows to 0."""
     if d_w <= 0:
         raise ValueError("work difficulty must be positive")
     if miner.hash_power <= 0:
         raise ValueError("hash power must be positive")
-    return rng.expovariate(miner.hash_power / d_w)
+    rate = miner.hash_power / d_w
+    return rng.expovariate(rate) if rate else math.inf
 
 def _delays(d_s: float, units: Sequence[float], powers: Sequence[float]) -> List[float]:
     """``d_s * |ln u| / V`` per unit and voting power; infinite for zero power."""

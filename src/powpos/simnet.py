@@ -145,7 +145,7 @@ class SimConfig:
 
     ``t`` is the combined block-time target in seconds; each kind then aims
     for one block per ``2t``.  ``stakers`` and ``miners`` are (account,
-    power) pairs; stake is active from genesis, rewards stay liquid.
+    power) pairs; stake is granted at genesis and never moves.
     """
 
     t: float = 10.0
@@ -153,8 +153,6 @@ class SimConfig:
     duration: float = 3600.0
     stakers: Tuple[Tuple[int, float], ...] = ()
     miners: Tuple[Tuple[int, float], ...] = ()
-    maturation_height: int = 100
-    withdrawal_height: int = 100
     t_future: float = 10.0
     latency: LatencyModel = LatencyModel("perfect")
     block_reward: float = 1.0
@@ -169,13 +167,17 @@ class SimConfig:
         # first and explicitly.
         problems = [
             f"{name} must be finite"
-            for name in ("t", "alpha", "duration", "maturation_height",
-                         "withdrawal_height", "t_future", "block_reward",
+            for name in ("t", "alpha", "duration", "t_future", "block_reward",
                          "d_genesis_w", "d_genesis_s", "d_min")
             if not math.isfinite(getattr(self, name))
         ]
         if not all(math.isfinite(v) for _, v in self.stakers + self.miners):
             problems.append("stakes and hash powers must be finite")
+        elif self.t > 0:  # fork choice ranks chains by td_w * td_s: keep it finite to the horizon
+            n = self.duration / (2.0 * self.t)
+            d_w, d_s = self.equilibrium_difficulties
+            if not math.isfinite((1.0 + d_w * n) * (1.0 + d_s * n)):
+                problems.append("chain weight td_w * td_s would overflow before the horizon")
         if self.t <= 0:
             problems.append("t must be positive")
         if self.alpha <= 0:
@@ -191,10 +193,6 @@ class SimConfig:
             problems.append("stakes must be positive")
         if any(v <= 0 for _, v in self.miners):
             problems.append("hash powers must be positive")
-        if self.maturation_height < 1:
-            problems.append("maturation_height must be at least 1")
-        if self.withdrawal_height < 1:
-            problems.append("withdrawal_height must be at least 1")
         if self.t_future < 0:
             problems.append("t_future must be non-negative")
         if self.block_reward < 0:
@@ -250,8 +248,6 @@ class SimConfig:
             "duration": self.duration,
             "stakers": [[a, v] for a, v in self.stakers],
             "miners": [[a, v] for a, v in self.miners],
-            "maturation_height": self.maturation_height,
-            "withdrawal_height": self.withdrawal_height,
             "t_future": self.t_future,
             "latency": self.latency.spec_string(),
             "block_reward": self.block_reward,
@@ -331,8 +327,6 @@ def parse_config_file(path: str) -> SimConfig:
         "t": float,
         "alpha": float,
         "duration": float,
-        "maturation_height": int,
-        "withdrawal_height": int,
         "t_future": float,
         "block_reward": float,
         "rng_seed": int,
@@ -409,9 +403,7 @@ class _Engine:
         self.oracle = HashOracle(config.rng_seed)
         self.params = config.difficulty_params
         self.genesis = make_genesis(self.oracle)
-        self.ledger = Ledger(config.maturation_height, config.withdrawal_height)
-        for account, stake in config.stakers:
-            self.ledger.grant_active(account, stake)
+        self.ledger = Ledger(config.stakers)
 
         self.observer = _View(0, BlockTree(self.genesis, AdaptiveRule(self.params)))
         self.views = [self.observer]
@@ -427,7 +419,7 @@ class _Engine:
                     rng=self.oracle.rng("miner", account),
                 )
             )
-        # Stake is active from genesis and rewards are credited after the run.
+        # Stake is fixed from genesis, so each staker's power is read once.
         for account, _stake in config.stakers:
             view = self._bind_view(shared)
             self.producers.append(
@@ -435,7 +427,7 @@ class _Engine:
                     index=len(self.producers),
                     view=view,
                     staker=StakerContext(account, self.oracle.keypair(account)),
-                    power=self.ledger.voting_power(account, 0),
+                    power=self.ledger.voting_power(account),
                 )
             )
         self.by_view: Dict[int, List[_Producer]] = {}
@@ -674,7 +666,6 @@ class SimReport:
     evidence: Optional[list] = None
     dunkle_net: Optional[Dict[int, float]] = None
     tree: Optional[BlockTree] = None
-    ledger_snapshot: Optional[dict] = None
 
     @property
     def rewards(self) -> Dict[int, float]:
@@ -777,7 +768,6 @@ def _build_report(engine: _Engine, runtime: float) -> SimReport:
     for b in blocks:
         credited = rewards[b.kind.value]
         credited[b.producer] = credited.get(b.producer, 0.0) + config.block_reward
-        engine.ledger.credit(b.producer, config.block_reward)
 
     hist = Counter(int(math.floor(t)) for t in series.timestamps["all"])
     seconds_histogram = Counter(hist.values())
@@ -804,7 +794,6 @@ def _build_report(engine: _Engine, runtime: float) -> SimReport:
         seconds_histogram=dict(seconds_histogram),
         runtime_seconds=runtime,
         tree=tree,
-        ledger_snapshot=engine.ledger.snapshot(),
     )
 
     mode = config.slashing.split(":")[0]

@@ -17,7 +17,8 @@ defeats both detectors by design; nothing links the accounts.
 Settlement follows the dunkle scheme: a canonical PoS block earns R, and
 the same chain debits n*R for every PoS block its producer signed on a
 competing fork.  The bound on n comes from requiring honest expected
-revenue (1-a)R - a*n*R to stay positive at orphan rate a.
+revenue (1-a)R - a*n*R to stay positive at orphan rate a.  A run reports
+the settlement; it does not apply it to any balance.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .attacks import ATTACKER, HONEST, _public_race, _race, _seeded_trials
 from .crypto import HashOracle
-from .ledger import Ledger
 from .simnet import SimConfig
 
 
@@ -182,23 +182,6 @@ def dunkle_n_bound(orphan_rate: float) -> float:
     if not 0.0 < orphan_rate < 1.0:
         raise ValueError("orphan_rate must be strictly between 0 and 1")
     return (1.0 - orphan_rate) / orphan_rate
-
-
-def apply_penalties(ledger: Ledger, net: Dict[int, float], height: int) -> Dict[int, float]:
-    """Apply a settlement map to a ledger; returns what was actually moved.
-
-    Credits add to liquid balance.  Debits drain liquid, then active, then
-    withdrawing stake, and stop at zero: accounts cannot go negative.
-    """
-    applied = {}
-    for account in sorted(net):
-        amount = net[account]
-        if amount >= 0:
-            ledger.credit(account, amount)
-            applied[account] = amount
-        else:
-            applied[account] = -ledger.penalize(account, -amount, height)
-    return applied
 
 
 # ---------------------------------------------------------------------------

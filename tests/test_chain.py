@@ -36,7 +36,7 @@ def test_genesis_base_weight_is_one_one():
     _, tree = fresh_tree()
     w = tree.chain_weight(tree.canonical_tip)
     assert (w.td_w, w.td_s) == (1.0, 1.0)
-    assert tree.weight_product(tree.canonical_tip) == 1.0
+    assert tree.chain_weight(tree.canonical_tip).product == 1.0
 
 
 def test_weight_pair_child_accumulates_by_kind():
@@ -120,7 +120,7 @@ def test_fork_choice_maximizes_weight_product():
     parents = {tree.block(node_id).parent_id for node_id in tree.nodes}
     best = max(
         (node_id for node_id in tree.nodes if node_id not in parents),
-        key=lambda node_id: tree.weight_product(node_id),
+        key=lambda node_id: tree.chain_weight(node_id).product,
     )
     assert tree.fork_choice() == best
 
@@ -149,7 +149,7 @@ def test_absorbed_child_of_tip_defers_to_earliest_tie():
     assert tree.import_block(b) is ImportResult.SIDE_CHAIN
     c = mine(oracle, tree, a.id, at=3.0, account=1)
     assert tree.import_block(c) is ImportResult.SIDE_CHAIN
-    assert tree.weight_product(c.id) == tree.weight_product(b.id)
+    assert tree.chain_weight(c.id).product == tree.chain_weight(b.id).product
     assert tree.canonical_tip == b.id == tree.fork_choice()
 
 
@@ -223,8 +223,8 @@ def test_incremental_fork_choice_matches_scan(spec, base, data):
         canonical, _side = split_canonical(list(tree.dump_rows()))
         assert [row["id"] for row in canonical] == [
             format(b.id, "064x") for b in tree.canonical_chain()]
-    assert origin.weight_product(origin.canonical_tip) == (
-        trees[1].weight_product(trees[1].canonical_tip))
+    assert origin.chain_weight(origin.canonical_tip).product == (
+        trees[1].chain_weight(trees[1].canonical_tip).product)
 
 
 def test_replica_computes_lineage_the_origin_lacks():

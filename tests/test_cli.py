@@ -121,6 +121,28 @@ def test_simulate_rejects_zero_dunkle_multiple(tmp_path, cfg_path, capsys):
     assert not os.path.exists(tmp_path / "artifacts")
 
 
+HUGE_POWERS = {
+    "hash-1e308": {"stakers": ((0, 10.0),), "miners": ((1, 1e308),)},
+    "two-hashes-1e307": {"miners": ((0, 1e307), (1, 1e307))},
+    "stake-1e308": {"stakers": ((0, 1e308),), "miners": ((1, 1.0),)},
+    "product-1e160": {"stakers": ((0, 1e160),), "miners": ((1, 1e160),)},
+}
+
+
+@pytest.mark.parametrize("participants", list(HUGE_POWERS.values()), ids=list(HUGE_POWERS))
+def test_overflowing_chain_weight_is_a_config_error(tmp_path, capsys, participants):
+    # The equilibrium difficulty power * 2t, or the product of the two kinds'
+    # chain weights, overflows: fork choice could not rank chains.
+    with pytest.raises(simnet.ConfigError, match="would overflow"):
+        simnet.run(simnet.SimConfig(**participants))
+    text = "".join(f"{kind} = {' '.join(f'{a}:{v!r}' for a, v in pairs)}\n"
+                   for kind, pairs in participants.items())
+    code = cli.main(["simulate", "--config", write_cfg(tmp_path, text),
+                     "--out", str(tmp_path / "artifacts")])
+    assert code == cli.EXIT_CONFIG
+    assert "would overflow" in capsys.readouterr().err
+
+
 def test_stats_recomputes_from_dump(tmp_path, cfg_path, capsys):
     outdir = str(tmp_path / "artifacts")
     cli.main(["simulate", "--config", cfg_path, "--out", outdir])

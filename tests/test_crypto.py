@@ -42,12 +42,6 @@ def test_zero_digest_maps_to_smallest_unit():
     assert math.isfinite(math.log(zero.unit))
 
 
-def test_hex_round_trip():
-    d = crypto.HashOracle(5).hash("roundtrip")
-    assert len(d.hex) == 64
-    assert int(d.hex, 16) == d.value
-
-
 def test_units_pass_uniformity_ks():
     oracle = crypto.HashOracle(11)
     units = [oracle.hash("uniform", i).unit for i in range(50_000)]
@@ -179,8 +173,9 @@ def test_hash_digests_pinned():
         ((True, 1, False, 0), "68ffcafc5007db42581f4bd4ccc6cbd4e9197751344544e8ea77c5fb06dccf0f"),
     ]
     for parts, digest in pinned:
-        assert oracle.hash(*parts).hex == digest
-    assert crypto.HashOracle(123456789).hash("derive-seed", "miner", 3).hex == (
+        assert format(oracle.hash(*parts).value, "064x") == digest
+    derived = crypto.HashOracle(123456789).hash("derive-seed", "miner", 3)
+    assert format(derived.value, "064x") == (
         "fd7a1373e6d8746db70c555aa6fcb20a003653d0af23c3fd0e0f59781678ce1c")
 
 

@@ -61,6 +61,11 @@ def test_pow_solve_time_rejects_bad_inputs():
         pow_solve_time(MinerContext(1, 0.0), 20.0, rng)
 
 
+def test_pow_solve_time_is_infinite_when_the_rate_underflows():
+    # 1e-76 / 2e248 underflows to 0: such a miner never solves.
+    assert pow_solve_time(MinerContext(1, 1e-76), 2e248, random.Random(1)) == math.inf
+
+
 # -- forging delay ---------------------------------------------------------
 
 

@@ -11,6 +11,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import powpos
 from powpos import criteria, forging, simnet, stats
@@ -148,9 +149,18 @@ rng_seed = 9
     assert config.rng_seed == 9
 
 
+CONFIGS_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+
+
+@pytest.mark.parametrize("name, make", [("quick", quick_config), ("baseline", baseline_config)])
+def test_shipped_config_files_match_their_builders(name, make):
+    assert parse_config_file(os.path.join(CONFIGS_DIR, f"{name}.cfg")) == make()
+
+
 def test_parse_config_file_errors(tmp_path):
     cases = {
         "unknown.cfg": ("mystery = 1\nminers = 1\n", "unknown config key"),
+        "removed.cfg": ("maturation_height = 100\nminers = 1\n", "unknown config key"),
         "dup.cfg": ("t = 5\nt = 6\nminers = 1\n", "duplicate key"),
         "noeq.cfg": ("t 5\n", "expected key = value"),
         "badval.cfg": ("t = fast\nminers = 1\n", "bad value"),
@@ -162,6 +172,103 @@ def test_parse_config_file_errors(tmp_path):
             parse_config_file(str(p))
     with pytest.raises(ConfigError, match="cannot read"):
         parse_config_file(str(tmp_path / "absent.cfg"))
+
+
+# -- config fuzz -----------------------------------------------------------
+# Every config either fails validation with ConfigError or runs to its horizon.
+
+LOG_UNIFORM_POWERS = st.floats(min_value=-308.0, max_value=308.0).map(lambda e: 10.0 ** e)
+LATENCIES = st.one_of(
+    st.just(LatencyModel.perfect()),
+    st.floats(min_value=0.0, max_value=10.0).map(LatencyModel.fixed),
+    st.lists(st.floats(min_value=0.0, max_value=10.0), min_size=2, max_size=2).map(
+        lambda bounds: LatencyModel.uniform(*sorted(bounds))),
+)
+SLASHING = st.one_of(
+    st.sampled_from(["off", "evidence"]),
+    st.floats(min_value=0.0, max_value=10.0).map(lambda n: f"dunkle:{n!r}"),
+)
+
+
+@st.composite
+def fuzzed_configs(draw):
+    n_stakers = draw(st.integers(min_value=1, max_value=3))
+    n_miners = draw(st.integers(min_value=1, max_value=3))
+    powers = draw(st.lists(LOG_UNIFORM_POWERS, min_size=n_stakers + n_miners,
+                           max_size=n_stakers + n_miners))
+    # One config in four gets a power that validation must reject.
+    if draw(st.integers(min_value=0, max_value=3)) == 0:
+        powers[draw(st.integers(min_value=0, max_value=len(powers) - 1))] = draw(
+            st.sampled_from([0.0, -1.0, math.nan, math.inf, -math.inf]))
+    config = SimConfig(
+        t=draw(st.floats(min_value=1.0, max_value=100.0)),
+        duration=draw(st.floats(min_value=1.0, max_value=600.0)),
+        stakers=tuple(enumerate(powers[:n_stakers])),
+        miners=tuple((10 + i, h) for i, h in enumerate(powers[n_stakers:])),
+        latency=draw(LATENCIES),
+        slashing=draw(SLASHING),
+        rng_seed=draw(st.integers(min_value=0, max_value=2**32)),
+    )
+    # Start at equilibrium when it exists, so that short runs stay short.
+    d_w, d_s = config.equilibrium_difficulties
+    if 0 < d_w < math.inf and 0 < d_s < math.inf:
+        config = replace(config, d_genesis_w=d_w, d_genesis_s=d_s)
+    return config
+
+
+@settings(max_examples=200, deadline=None)
+@given(fuzzed_configs())
+# The weak miner's rate, 1e-76 / 2e248, underflows to 0.
+@example(SimConfig(t=1.0, duration=60.0, stakers=((0, 1.0),),
+                   miners=((10, 1e248), (11, 1e-76)), d_genesis_w=2e248, d_genesis_s=2.0))
+def test_fuzzed_config_is_rejected_or_runs_to_horizon(config):
+    try:
+        config.validate()
+    except ConfigError:
+        with pytest.raises(ConfigError):
+            powpos.run(config)
+        return
+    report = powpos.run(config)
+    assert all(b.timestamp <= config.duration for b in report.tree.canonical_chain())
+
+
+# A valid value per config key; the removed keys and an unknown one get "100".
+VALID_CONFIG_TEXT = {
+    "t": "5", "alpha": "0.02", "duration": "600", "stakers": "100 50:7.5",
+    "miners": "2 1", "t_future": "10", "latency": "uniform:0.1:0.9",
+    "block_reward": "1", "rng_seed": "9", "d_genesis_w": "30", "d_genesis_s": "1075",
+    "d_min": "1e-9", "slashing": "dunkle:3",
+}
+CONFIG_KEYS = sorted(VALID_CONFIG_TEXT) + ["maturation_height", "withdrawal_height", "mystery"]
+JUNK_CONFIG_TEXT = st.one_of(
+    st.sampled_from(["0", "-1", "1e308", "nan", "inf", "", "perfect", "fixed:2",
+                     "uniform:5:0", "evidence", "1 2 3", "0:5 0:6", "7:1.5, 2",
+                     "10**400", "1" * 5000]),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=20),
+)
+
+
+@st.composite
+def config_texts(draw):
+    keys = draw(st.lists(st.sampled_from(CONFIG_KEYS), max_size=8, unique=True))
+    values = [VALID_CONFIG_TEXT.get(key, "100") for key in keys]
+    # Half the files get one junk value.
+    if keys and draw(st.booleans()):
+        values[draw(st.integers(min_value=0, max_value=len(keys) - 1))] = draw(
+            JUNK_CONFIG_TEXT)
+    return "".join(f"{key} = {value}\n" for key, value in zip(keys, values))
+
+
+@settings(max_examples=300, deadline=None)
+@given(config_texts())
+def test_fuzzed_config_file_parses_or_raises_config_error(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("fuzz") / "run.cfg"
+    path.write_text(text, encoding="utf-8")
+    try:
+        config = parse_config_file(str(path))
+    except ConfigError:
+        return
+    assert isinstance(config, SimConfig)
 
 
 # -- run loop invariants ---------------------------------------------------
@@ -184,23 +291,6 @@ def test_rewards_account_for_every_canonical_block(quick_report):
     assert set(r.rewards_pow) == {a for a, _ in r.config.miners}
     assert set(r.rewards_pos) == {a for a, _ in r.config.stakers}
     assert sum(r.rewards.values()) == pytest.approx(r.total_blocks * reward)
-
-
-def test_ledger_snapshot_holds_stakes_plus_rewards(quick_report):
-    r = quick_report
-    snap = r.ledger_snapshot
-    total = sum(
-        acct["liquid"]
-        + acct["active"]
-        + sum(a for a, _ in acct["maturing"])
-        + sum(a for a, _ in acct["withdrawing"])
-        for acct in snap.values()
-    )
-    expected = r.config.total_stake + r.total_blocks * r.config.block_reward
-    assert total == pytest.approx(expected)
-    # Genesis stake stays active; rewards stay liquid.
-    assert snap["0"]["active"] == 160.0
-    assert snap["0"]["liquid"] == pytest.approx(r.rewards_pos.get(0, 0.0))
 
 
 def test_interarrival_and_histogram_consistency(quick_report):
@@ -264,12 +354,12 @@ def report_sha256(report):
 
 def test_quick_golden_digest(quick_report):
     assert report_sha256(quick_report) == (
-        "04aab6406e650f0ceeb454ab3413291c9d3a29a7083b2e4036893966fb918165")
+        "2b8cbbcf0d064d29320251c1f5a10bff05d088e9c1a3fbbfa0373b913b7244d8")
 
 
 def test_flagship_golden_digest(baseline_report):
     assert report_sha256(baseline_report) == (
-        "2c5b73d07403f97516b81388e4c323de348e120dda4f8c058016a0bb3409deaf")
+        "c8aa2bef67413619231e314db859332acf430e034024be31897117cc9b8bf40f")
 
 
 def equilibrium_hour(**overrides):
@@ -284,7 +374,7 @@ def test_latency_golden_digest():
     report = powpos.run(equilibrium_hour(
         latency=LatencyModel.fixed(2.0), slashing="evidence"))
     assert report_sha256(report) == (
-        "6e114262e2e7a4c6325fe3ffd3fcfa8ae7422fd8c557b94c8076e4a4911e01e4")
+        "6efac75ec63dc3c8a293357da940fd0dc5d67663b12d6bf2a6bb61b3d03a7d9b")
 
 
 def test_dunkle_golden_digest():
@@ -294,7 +384,7 @@ def test_dunkle_golden_digest():
         latency=LatencyModel.fixed(2.0), slashing="dunkle:3"))
     assert min(report.dunkle_net.values()) < 0
     assert report_sha256(report) == (
-        "6fc6d02bb1eb60d13abe044f9e72b9dd872d713c4f5dd80f0307fab4b7e0b21f")
+        "30aa875fd5a01e5be90252d7363c923fa0ccf98dd792ef8546bd03c279fbb25b")
 
 
 def test_uniform_latency_golden_digest():
@@ -304,11 +394,11 @@ def test_uniform_latency_golden_digest():
         latency=LatencyModel.uniform(0.0, 5.0), slashing="evidence"))
     assert report.orphan_count > 0
     assert report_sha256(report) == (
-        "179dd9cbee496a8426e08cf86b77ca0103fdf1343b0fc41731b4bb2323390e8d")
+        "132c03675028a12efe478699e07e0d81838f9beaffbfba3eabb4672ff7495cd5")
 
 
 QUICK_ARTIFACT_SHA256 = {
-    "report.json": "04aab6406e650f0ceeb454ab3413291c9d3a29a7083b2e4036893966fb918165",
+    "report.json": "2b8cbbcf0d064d29320251c1f5a10bff05d088e9c1a3fbbfa0373b913b7244d8",
     "interarrivals.csv": "c1bb635e89fec343875839bfe5bbb85044d54734f9e5f72b7b5cdd7237d7cb26",
     "rewards.csv": "6148832f1b310a215103e6aec240722f42bd7da479b98e89e8a475a502cea3e9",
     "difficulty.csv": "1c961d87c2ac6f37a383ecc11842047eff6e0460dea8d23df8b8e655467377a1",
@@ -369,7 +459,7 @@ def test_pos_block_from_reused_slot_equals_recomputed(monkeypatch, name):
     def checked_forge(oracle, tree, parent_id, staker, *, now, slot):
         block = forging.forge_pos_block(oracle, tree, parent_id, staker,
                                         now=now, slot=slot)
-        fresh_power = engine.ledger.voting_power(staker.account, tree.block(parent_id).height)
+        fresh_power = engine.ledger.voting_power(staker.account)
         assert block == forging.forge_pos_block(oracle, tree, parent_id, staker,
                                                 fresh_power, now=now)
         # The reused slot keeps the honest check that its instant has come.
@@ -389,15 +479,24 @@ def test_voting_power_is_read_once_per_staker(monkeypatch):
     reads = []
     original = powpos.Ledger.voting_power
 
-    def counted(self, account, height):
+    def counted(self, account):
         reads.append(account)
-        return original(self, account, height)
+        return original(self, account)
 
     monkeypatch.setattr(powpos.Ledger, "voting_power", counted)
     config = quick_config(duration=3600.0)
     report = simnet.run(config)
     assert report.pos_blocks > 50
     assert sorted(reads) == sorted(account for account, _ in config.stakers)
+
+
+def test_stakers_vote_with_their_configured_stake():
+    config = quick_config()
+    engine = simnet._Engine(config)
+    powers = {p.staker.account: p.power for p in engine.producers if p.staker}
+    assert powers == dict(config.stakers)
+    # Miners hold no stake.
+    assert all(engine.ledger.voting_power(a) == 0.0 for a, _ in config.miners)
 
 
 def test_oracle_digests_per_stored_block_pinned(monkeypatch):

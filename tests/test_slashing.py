@@ -5,12 +5,10 @@ import json
 import pytest
 
 import powpos
-from powpos.ledger import Ledger
 from powpos.simnet import baseline_config, quick_config
 from powpos.slashing import (
     EvidenceKind,
     StakerPolicy,
-    apply_penalties,
     detect_all,
     detect_double_production,
     detect_weight_timestamp_violation,
@@ -155,24 +153,6 @@ def test_dunkle_n_bound_values_and_domain():
     for bad in (0.0, 1.0, -0.1, 1.5):
         with pytest.raises(ValueError):
             dunkle_n_bound(bad)
-
-
-def test_apply_penalties_debits_in_order_and_caps():
-    led = Ledger(maturation=10, withdrawal=100)
-    led.credit(1, 5.0)
-    led.grant_active(1, 17.0)
-    led.unlock(1, 7.0, height=0)  # active 10, withdrawing 7
-    applied = apply_penalties(led, {1: -12.0, 2: 3.0}, height=1)
-    assert applied == {1: -12.0, 2: 3.0}
-    snap = led.snapshot()["1"]
-    assert snap["liquid"] == 0.0
-    assert snap["active"] == 3.0
-    assert sum(a for a, _ in snap["withdrawing"]) == 7.0
-    assert led.liquid_at(2, 1) == 3.0
-    # Debits stop at zero; the shortfall is reported, not borrowed.
-    applied = apply_penalties(led, {1: -100.0}, height=1)
-    assert applied == {1: -10.0}
-    assert led.total_balance(1) == 0.0
 
 
 def test_engine_dunkle_mode_on_honest_run_is_pure_reward():
