@@ -18,7 +18,9 @@ and copies it instead of framing the label again.  The digest is the same
 either way: it depends only on the bytes fed.
 
 ``HashOracle.sign_seeds`` frames ``"seed-signature"`` and one seed anchor
-once, into a keyed state that every key's signature copies.
+once, into a keyed state that every key's signature copies.  It returns the
+raw signature bytes, so that a lottery makes a :class:`Digest` only for the
+slots it keeps.
 """
 
 from __future__ import annotations
@@ -52,6 +54,11 @@ class Digest:
     def unit(self) -> float:
         """Map the digest into (0, 1]; zero maps to the smallest positive unit."""
         return _unit(self.value)
+
+    @classmethod
+    def from_bytes(cls, raw: bytes) -> "Digest":
+        """The digest whose value is the 32 big-endian bytes ``raw``."""
+        return _make_digest(raw)
 
 
 def _unit(value: int) -> float:
@@ -184,20 +191,21 @@ class HashOracle:
         """Deterministic signature of the previous seed under ``sk``."""
         return self.hash("seed-signature", prev, sk)
 
-    def sign_seeds(self, prev: Digest, sks: Sequence[bytes]) -> Tuple[List[Digest], List[float]]:
-        """Each key's ``sign_seed(prev, sk)``, and the ``unit`` of its ``hash``."""
-        anchored = self._keyed.copy()
+    def sign_seeds(self, prev: Digest, sks: Sequence[bytes]) -> Tuple[List[bytes], List[float]]:
+        """Each key's ``sign_seed(prev, sk)`` as raw bytes, and the ``unit`` of its ``hash``."""
+        keyed = self._keyed
+        anchored = keyed.copy()
         anchored.update(_encode_str("seed-signature") + _encode_digest(prev))
-        seeds, units = [], []
+        signed, units = [], []
         for sk in sks:
             h = anchored.copy()
             h.update(_encode_bytes(sk))
-            signed = h.digest()
-            h = self._keyed.copy()
-            h.update(_DIGEST_FRAME + signed)
-            seeds.append(_make_digest(signed))
+            raw = h.digest()
+            h = keyed.copy()
+            h.update(_DIGEST_FRAME + raw)
+            signed.append(raw)
             units.append(_unit(int.from_bytes(h.digest(), "big")))
-        return seeds, units
+        return signed, units
 
     def keypair(self, account: int) -> KeyPair:
         """Deterministic per-account keypair; ``pk`` is the account id."""

@@ -18,9 +18,11 @@ block's timestamp is the eligibility instant itself, recomputable by any
 validator from the seed, so stakers cannot steer their next draw by shading
 timestamps.
 
-``pos_lottery`` is the one slot kernel: on one seed anchor and ``d_s`` it signs
+``pos_lottery`` is the slot kernel: on one seed anchor and ``d_s`` it signs
 every staker's seed in one ``HashOracle.sign_seeds`` pass.  Eligibility,
-verification, the engine and the split-stake attack all draw through it.
+verification and the split-stake attack draw through it.  ``pos_winner`` is
+the same pass kept to its earliest slot, the only one that can forge; the
+engine draws through it and makes one ``Digest`` per anchor.
 """
 
 from __future__ import annotations
@@ -86,11 +88,31 @@ def pos_delay(oracle: HashOracle, signed_seed: Digest, d_s: float, voting_power:
     return _delays(d_s, [oracle.hash(signed_seed).unit], [voting_power])[0]
 
 
+def _signed_delays(oracle: HashOracle, seed: Digest, d_s: float,
+                   stakers: Sequence[Tuple[KeyPair, float]]) -> Tuple[List[bytes], List[float]]:
+    signed, units = oracle.sign_seeds(seed, [key.sk for key, _ in stakers])
+    return signed, _delays(d_s, units, [power for _, power in stakers])
+
+
 def pos_lottery(oracle: HashOracle, seed: Digest, d_s: float,
                 stakers: Sequence[Tuple[KeyPair, float]]) -> List[Tuple[Digest, float]]:
     """Each ``(key, voting power)``'s signed seed and delay on one seed anchor."""
-    signed, units = oracle.sign_seeds(seed, [key.sk for key, _ in stakers])
-    return list(zip(signed, _delays(d_s, units, [power for _, power in stakers])))
+    signed, delays = _signed_delays(oracle, seed, d_s, stakers)
+    return [(Digest.from_bytes(raw), delay) for raw, delay in zip(signed, delays)]
+
+
+def pos_winner(oracle: HashOracle, seed: Digest, d_s: float,
+               stakers: Sequence[Tuple[KeyPair, float]]) -> Tuple[Optional[int], Optional[Digest], float]:
+    """The earliest ``pos_lottery`` slot: its index, signed seed and delay.
+
+    Ties go to the lowest index; the delay is infinite when no slot is
+    finite, and ``(None, None, inf)`` is the draw of no stakers.
+    """
+    signed, delays = _signed_delays(oracle, seed, d_s, stakers)
+    if not delays:
+        return None, None, math.inf
+    best = min(range(len(delays)), key=delays.__getitem__)
+    return best, Digest.from_bytes(signed[best]), delays[best]
 
 
 def pos_eligibility(

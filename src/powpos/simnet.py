@@ -45,18 +45,18 @@ import heapq
 import json
 import math
 import os
+import random
 import time
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from operator import attrgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import stats
 from .chain import Block, BlockKind, BlockTree, ImportResult, make_genesis
-from .crypto import Digest, HashOracle
+from .crypto import Digest, HashOracle, KeyPair
 from .difficulty import AdaptiveRule, DifficultyParams
 from .forging import (
     MinerContext,
@@ -65,7 +65,7 @@ from .forging import (
     build_pow_block,
     forge_pos_block,
     pos_eligibility,  # unused here; call tracers look the forging names up on simnet
-    pos_lottery,
+    pos_winner,
     pow_solve_time,
 )
 from .ledger import Ledger
@@ -363,38 +363,46 @@ def parse_config_file(path: str) -> SimConfig:
 
 
 @dataclass(slots=True)
-class _View:
-    index: int
-    tree: BlockTree
-    # Blocks whose parent has not arrived yet, keyed by the missing parent.
-    orphans: Dict[int, List[Block]] = field(default_factory=dict)
-    # The ``(due, seq)`` key of the view's live production event, if any, and
-    # the epoch that event carries; every re-arm bumps the epoch, so earlier
-    # events of the view are stale.
-    armed: Optional[Tuple[float, int]] = None
-    epoch: int = 0
+class _MiningPool:
+    """A view's miners and their pending solve: the earliest of their draws."""
+
+    miners: List[MinerContext]
+    rngs: List[random.Random]
+    # The pending solve instant (inf when none), the sequence number of the
+    # draw that set it, and the miner it belongs to.
+    due: float = math.inf
+    seq: int = 0
+    winner: int = 0
 
 
 @dataclass(slots=True)
-class _Producer:
-    index: int
-    view: int
-    # The pending production instant (inf when none) and the sequence number
-    # of the draw that set it: the heap key its event fires under.
+class _StakingPool:
+    """A view's stakers and their earliest slot on ``anchor`` at ``d_s``."""
+
+    stakers: List[StakerContext]
+    lottery: List[Tuple[KeyPair, float]]  # (key, voting power) per staker
     due: float = math.inf
     seq: int = 0
-    miner: Optional[MinerContext] = None
-    rng: Optional[object] = None
-    staker: Optional[StakerContext] = None
-    # A staker's voting power, and its last draw: seed and delay on ``anchor`` at ``d_s``.
-    power: float = 0.0
+    winner: int = 0
     seed: Optional[Digest] = None
     delay: float = math.inf
     anchor: Optional[Block] = None
     d_s: float = 0.0
 
 
-_pending_key = attrgetter("due", "seq")
+@dataclass(slots=True)
+class _View:
+    index: int
+    tree: BlockTree
+    # Blocks whose parent has not arrived yet, keyed by the missing parent.
+    orphans: Dict[int, List[Block]] = field(default_factory=dict)
+    mining: Optional[_MiningPool] = None
+    staking: Optional[_StakingPool] = None
+    # The ``(due, seq)`` key of the view's live production event, if any, and
+    # the epoch that event carries; every re-arm bumps the epoch, so earlier
+    # events of the view are stale.
+    armed: Optional[Tuple[float, int]] = None
+    epoch: int = 0
 
 
 class _Engine:
@@ -407,32 +415,23 @@ class _Engine:
 
         self.observer = _View(0, BlockTree(self.genesis, AdaptiveRule(self.params)))
         self.views = [self.observer]
-        self.producers: List[_Producer] = []
-        shared = config.latency.is_perfect
-        for account, power in config.miners:
-            view = self._bind_view(shared)
-            self.producers.append(
-                _Producer(
-                    index=len(self.producers),
-                    view=view,
-                    miner=MinerContext(account, power),
-                    rng=self.oracle.rng("miner", account),
-                )
-            )
+        miners = [MinerContext(account, power) for account, power in config.miners]
+        stakers = [StakerContext(account, self.oracle.keypair(account))
+                   for account, _stake in config.stakers]
         # Stake is fixed from genesis, so each staker's power is read once.
-        for account, _stake in config.stakers:
-            view = self._bind_view(shared)
-            self.producers.append(
-                _Producer(
-                    index=len(self.producers),
-                    view=view,
-                    staker=StakerContext(account, self.oracle.keypair(account)),
-                    power=self.ledger.voting_power(account),
-                )
-            )
-        self.by_view: Dict[int, List[_Producer]] = {}
-        for p in self.producers:
-            self.by_view.setdefault(p.view, []).append(p)
+        powers = {s.account: self.ledger.voting_power(s.account) for s in stakers}
+        if config.latency.is_perfect:  # one shared view, one pool of each kind
+            pools = [(self.observer, miners, stakers)]
+        else:  # a view per participant, miners first
+            pools = ([(self._new_view(), [m], []) for m in miners]
+                     + [(self._new_view(), [], [s]) for s in stakers])
+        for view, pool_miners, pool_stakers in pools:
+            if pool_miners:
+                view.mining = _MiningPool(
+                    pool_miners, [self.oracle.rng("miner", m.account) for m in pool_miners])
+            if pool_stakers:
+                view.staking = _StakingPool(
+                    pool_stakers, [(s.key, powers[s.account]) for s in pool_stakers])
 
         self.latency_rng = self.oracle.rng("latency")
         self.heap: List[tuple] = []
@@ -440,12 +439,10 @@ class _Engine:
         self.now = 0.0
         self.produced = 0
 
-    def _bind_view(self, shared: bool) -> int:
-        if shared:
-            return 0
+    def _new_view(self) -> _View:
         view = _View(len(self.views), self.observer.tree.replica())
         self.views.append(view)
-        return view.index
+        return view
 
     # -- events ----------------------------------------------------------
 
@@ -455,48 +452,48 @@ class _Engine:
 
     def _arm(self, view: _View) -> None:
         """Make the view's live production event the one of its earliest
-        pending producer, keyed by that producer's ``(due, seq)``."""
-        first = min(self.by_view.get(view.index, ()), key=_pending_key, default=None)
-        key = _pending_key(first) if first is not None and first.due < math.inf else None
+        pending pool, keyed by that pool's ``(due, seq)``."""
+        key, kind = None, None
+        for pool, pool_kind in ((view.mining, BlockKind.POW), (view.staking, BlockKind.POS)):
+            if pool is not None and pool.due < math.inf and (key is None or (pool.due, pool.seq) < key):
+                key, kind = (pool.due, pool.seq), pool_kind
         if key == view.armed:
             return  # the live event already carries it
         view.armed = key
         view.epoch += 1
         if key is not None:
-            heapq.heappush(self.heap, (*key, "produce", (view.index, view.epoch, first.index)))
+            heapq.heappush(self.heap, (*key, "produce", (view.index, view.epoch, kind)))
 
     def _refresh(self, view: _View, now: float) -> None:
-        """Redraw production for every participant bound to ``view``, then arm it."""
+        """Redraw the view's pending production where its tip changed it, then arm it."""
         if now > self.config.duration:
             return
         tree = view.tree
         tip = tree.canonical_tip
-        d_w = tree.expected_difficulty(tip, BlockKind.POW)
-        d_s = tree.expected_difficulty(tip, BlockKind.POS)
-        anchor = tree.seed_anchor(tip)
-        stale = []
-        for p in self.by_view.get(view.index, ()):
-            if p.miner is not None:
-                wait = pow_solve_time(p.miner, d_w, p.rng)
-                self._seq += 1
-                p.due, p.seq = now + wait, self._seq
-            elif not (p.due < math.inf and p.anchor.id == anchor.id and p.d_s == d_s):
-                stale.append(p)  # no pending slot on this anchor and difficulty
-        if stale:
-            # Stakers follow the view's miners: slots take seqs in producer order.
-            assert anchor.seed is not None
-            draws = pos_lottery(self.oracle, anchor.seed, d_s,
-                                [(p.staker.key, p.power) for p in stale])
-            for p, (seed, delay) in zip(stale, draws):
-                p.seed, p.delay, p.anchor, p.d_s = seed, delay, anchor, d_s
-                p.due = max(now, anchor.timestamp + delay)
-                if p.due < math.inf:
+        mining, staking = view.mining, view.staking
+        if mining is not None:
+            d_w = tree.expected_difficulty(tip, BlockKind.POW)
+            dues = [now + pow_solve_time(miner, d_w, rng)
+                    for miner, rng in zip(mining.miners, mining.rngs)]
+            mining.winner = min(range(len(dues)), key=dues.__getitem__)
+            self._seq += 1
+            mining.due, mining.seq = dues[mining.winner], self._seq
+        if staking is not None:
+            d_s = tree.expected_difficulty(tip, BlockKind.POS)
+            anchor = tree.seed_anchor(tip)
+            if not (staking.due < math.inf and staking.anchor.id == anchor.id
+                    and staking.d_s == d_s):  # no pending slot on this anchor and difficulty
+                assert anchor.seed is not None
+                staking.winner, staking.seed, staking.delay = pos_winner(
+                    self.oracle, anchor.seed, d_s, staking.lottery)
+                staking.anchor, staking.d_s = anchor, d_s
+                staking.due = max(now, anchor.timestamp + staking.delay)
+                if staking.due < math.inf:
                     self._seq += 1
-                    p.seq = self._seq
+                    staking.seq = self._seq
         self._arm(view)
 
-    def _publish(self, producer: _Producer, block: Block, now: float) -> None:
-        view = self.views[producer.view]
+    def _publish(self, view: _View, block: Block, now: float) -> None:
         replicated = view is not self.observer
         if replicated:
             # The observer first, so that the producer's view shares its lineage.
@@ -546,22 +543,25 @@ class _Engine:
             if view.tree.canonical_tip != before:
                 self._refresh(view, now)
 
-    def _fire_pow(self, p: _Producer, now: float) -> None:
-        view = self.views[p.view]
-        parent = view.tree.canonical_tip
-        block = build_pow_block(self.oracle, view.tree, parent, p.miner, solved_at=now)
-        self._publish(p, block, now)
+    def _fire_pow(self, view: _View, now: float) -> None:
+        mining = view.mining
+        mining.due = math.inf
+        miner = mining.miners[mining.winner]
+        block = build_pow_block(self.oracle, view.tree, view.tree.canonical_tip, miner,
+                                solved_at=now)
+        self._publish(view, block, now)
 
-    def _fire_pos(self, p: _Producer, now: float) -> None:
+    def _fire_pos(self, view: _View, now: float) -> None:
         # The tip has the seed anchor and difficulty the slot was drawn on:
         # any other tip would have refreshed the view.
-        view = self.views[p.view]
-        parent = view.tree.canonical_tip
-        at = p.anchor.timestamp
-        slot = PosEligibility(p.seed, p.delay, at + p.delay, p.anchor.id, at, p.d_s)
-        block = forge_pos_block(self.oracle, view.tree, parent, p.staker,
-                                now=now, slot=slot)
-        self._publish(p, block, now)
+        staking = view.staking
+        staking.due = math.inf
+        at = staking.anchor.timestamp
+        slot = PosEligibility(staking.seed, staking.delay, at + staking.delay,
+                              staking.anchor.id, at, staking.d_s)
+        block = forge_pos_block(self.oracle, view.tree, view.tree.canonical_tip,
+                                staking.stakers[staking.winner], now=now, slot=slot)
+        self._publish(view, block, now)
 
     def run(self) -> None:
         for view in self.views:
@@ -575,17 +575,15 @@ class _Engine:
             if tag == "produce":
                 if draining:
                     continue  # production stops at the horizon
-                index, epoch, producer = payload
+                index, epoch, kind = payload
                 view = self.views[index]
                 if epoch != view.epoch:
                     continue
-                p = self.producers[producer]
-                p.due = math.inf
                 view.armed = None
-                if p.miner is not None:
-                    self._fire_pow(p, at)
+                if kind is BlockKind.POW:
+                    self._fire_pow(view, at)
                 else:
-                    self._fire_pos(p, at)
+                    self._fire_pos(view, at)
                 if view.armed is None:  # no refresh re-armed the view
                     self._arm(view)
             else:  # "deliver"

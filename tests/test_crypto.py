@@ -193,9 +193,12 @@ def test_hash_rejects_unknown_part_types():
 @example(run_seed=1, prev=0, sks=[b"", b"\x00" * 32, b""])
 def test_sign_seeds_matches_key_by_key_signatures(run_seed, prev, sks):
     oracle = crypto.HashOracle(run_seed)
-    seeds, units = oracle.sign_seeds(crypto.Digest(prev), sks)
+    signed, units = oracle.sign_seeds(crypto.Digest(prev), sks)
     expected = [reference_hash(run_seed, "seed-signature", crypto.Digest(prev), sk)
                 for sk in sks]
+    # Raw 32-byte signatures, big-endian: no Digest per key.
+    assert all(type(raw) is bytes and len(raw) == 32 for raw in signed)
+    seeds = [crypto.Digest.from_bytes(raw) for raw in signed]
     assert [s.value for s in seeds] == expected
     assert seeds == [oracle.sign_seed(crypto.Digest(prev), sk) for sk in sks]
     # The unit is the signature's hash's, not the signature's own.

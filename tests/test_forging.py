@@ -18,6 +18,7 @@ from powpos.forging import (
     pos_delay,
     pos_eligibility,
     pos_lottery,
+    pos_winner,
     pow_solve_time,
     verify_pos_block,
 )
@@ -161,6 +162,44 @@ def test_lottery_equals_key_by_key_draws(run_seed, anchor, d_s, stakers):
         assert pos_eligibility(oracle, tree, block.id, ctx, power) == forging.PosEligibility(
             seed=signed, delay=delay, eligible_at=block.timestamp + delay,
             anchor_id=block.id, anchor_timestamp=block.timestamp, difficulty=d_s)
+
+
+@settings(max_examples=150, deadline=None)
+@given(run_seed=st.integers(0, 1 << 70), anchor=st.integers(0, crypto.TWO_256 - 1),
+       d_s=st.floats(1e-3, 1e7),
+       stakers=st.lists(st.tuples(st.integers(0, 10**6), POWERS), min_size=1, max_size=8,
+                        unique_by=lambda s: s[0]))
+@example(run_seed=1, anchor=0, d_s=7600.0, stakers=[(1, 0.0), (2, 10.0), (3, 10.0)])
+@example(run_seed=2, anchor=5, d_s=7600.0, stakers=[(4, 0.0), (5, 0.0)])
+def test_winner_is_the_earliest_lottery_slot(run_seed, anchor, d_s, stakers):
+    oracle = crypto.HashOracle(run_seed)
+    seed = crypto.Digest(anchor)
+    pairs = [(oracle.keypair(account), power) for account, power in stakers]
+    slots = pos_lottery(oracle, seed, d_s, pairs)
+    earliest = min(range(len(slots)), key=lambda i: (slots[i][1], i))
+    assert pos_winner(oracle, seed, d_s, pairs) == (earliest, *slots[earliest])
+
+
+def test_winner_ties_go_to_the_lowest_index():
+    oracle = crypto.HashOracle(3)
+    seed = crypto.genesis_seed(oracle)
+    key = oracle.keypair(7)
+    # One key twice draws one slot twice: an exact tie.
+    [(signed, delay)] = pos_lottery(oracle, seed, 7600.0, [(key, 10.0)])
+    stakers = [(oracle.keypair(8), 0.0), (key, 10.0), (key, 10.0)]
+    assert pos_winner(oracle, seed, 7600.0, stakers) == (1, signed, delay)
+
+
+def test_winner_of_zero_power_or_no_stakers_never_forges():
+    oracle = crypto.HashOracle(1)
+    seed = crypto.genesis_seed(oracle)
+    key = oracle.keypair(1)
+    signed = oracle.sign_seed(seed, key.sk)
+    assert pos_winner(oracle, seed, 7600.0, [(key, 0.0), (oracle.keypair(2), 0.0)]) == (
+        0, signed, math.inf)
+    assert pos_winner(oracle, seed, 7600.0, []) == (None, None, math.inf)
+    with pytest.raises(ValueError, match="stake difficulty"):
+        pos_winner(oracle, seed, 0.0, [(key, 10.0)])
 
 
 def test_lottery_of_no_stakers_is_empty():

@@ -15,6 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import powpos
 from powpos import criteria, forging, simnet, stats
+from powpos.chain import BlockKind
 from powpos.simnet import (
     ConfigError,
     LatencyModel,
@@ -424,24 +425,34 @@ ENGINE_HOURS = {
 }
 
 
+def pending_pools(view):
+    return [pool for pool in (view.mining, view.staking)
+            if pool is not None and pool.due < math.inf]
+
+
 @pytest.mark.parametrize("name", sorted(ENGINE_HOURS))
 def test_heap_holds_one_live_production_event_per_view(monkeypatch, name):
     engine = simnet._Engine(ENGINE_HOURS[name]())
+    # One pool of each kind in the shared view; a pool of one per replica.
+    sizes = [(len(v.mining.miners) if v.mining else 0, len(v.staking.stakers) if v.staking else 0)
+             for v in engine.views]
+    assert sizes == ([(10, 10)] if name == "perfect" else [(0, 0)] + [(1, 0)] * 10 + [(0, 1)] * 10)
 
     def checked_heappop(heap):
         live = set()
         for at, seq, tag, payload in heap:
             if tag != "produce" or payload[1] != engine.views[payload[0]].epoch:
                 continue
-            view, _epoch, index = payload
-            assert view not in live, "two live production events for one view"
-            live.add(view)
-            # The view's earliest pending producer, under its own draw's key.
-            p = engine.producers[index]
-            assert (at, seq) == (p.due, p.seq) == engine.views[view].armed
-            assert p is min(engine.by_view[view], key=lambda q: (q.due, q.seq))
+            index, _epoch, kind = payload
+            assert index not in live, "two live production events for one view"
+            live.add(index)
+            # The view's earliest pending pool, under its own draw's key.
+            view = engine.views[index]
+            pool = view.mining if kind is BlockKind.POW else view.staking
+            assert (at, seq) == (pool.due, pool.seq) == view.armed
+            assert pool is min(pending_pools(view), key=lambda q: (q.due, q.seq))
         if heap[0][0] <= engine.config.duration:
-            assert live == {p.view for p in engine.producers if p.due < math.inf}
+            assert live == {v.index for v in engine.views if pending_pools(v)}
         return heapq.heappop(heap)
 
     monkeypatch.setattr(simnet, "heapq", SimpleNamespace(
@@ -493,7 +504,8 @@ def test_voting_power_is_read_once_per_staker(monkeypatch):
 def test_stakers_vote_with_their_configured_stake():
     config = quick_config()
     engine = simnet._Engine(config)
-    powers = {p.staker.account: p.power for p in engine.producers if p.staker}
+    pool = engine.observer.staking
+    powers = {s.account: power for s, (_key, power) in zip(pool.stakers, pool.lottery)}
     assert powers == dict(config.stakers)
     # Miners hold no stake.
     assert all(engine.ledger.voting_power(a) == 0.0 for a, _ in config.miners)
