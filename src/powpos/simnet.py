@@ -8,23 +8,27 @@ omniscient observer replica used only for metrics.
 
 Everything runs off one virtual clock and one run seed.  Event ties are
 broken by sequence number, taken in order by every production draw and
-every delivery, mining solve times come from per-miner RNG streams, and
+every delivery, mining solve times come from one RNG stream per view, and
 forging delays are pure functions of chain state, so a run is a
 deterministic function of its configuration.
 
-Scale note: a refresh reads the tip's context once for all producers bound
-to a view, voting power is read once per staker and run, expected
-difficulty is memoised per block, and fork choice is updated per import, so
-none of these grows with the number of producers or tips.  The draws still
-do: a refresh redraws every miner's wait, and the stakers whose seed anchor
-or PoS difficulty changed draw their slots in one ``pos_lottery`` call, two
-oracle digests per staker.  The heap does not: each view holds one live
-production event, for its earliest pending producer and under the
-``(instant, sequence number)`` key of that producer's draw, so events fire
-in draw order and a stored block costs about one heap push under perfect
-latency.  Only the staker that forges gets a ``PosEligibility``.  The
-flagship configuration (ten miners, ten stakers, thirty simulated days, a
-quarter million blocks) takes about half a minute.
+Scale note: each view holds at most one pool per block kind, its miners and
+its stakers: one of each under perfect latency, one participant per
+replica under a latency model.  A mining pool is one Poisson stream: one
+exponential wait at the pool's summed hash power, redrawn only when it
+fired or ``d_w`` moved (by memorylessness a pending wait survives a PoS tip
+or a reorg that keeps ``d_w``), and a categorical draw of the winner by
+hash share when it fires.  A staking pool reruns ``pos_winner`` only when
+its seed anchor or ``d_s`` moves; every staker still signs every anchor,
+two oracle digests each, but only the earliest slot is kept, and only the
+staker that forges gets a ``PosEligibility``.  So under perfect latency a
+stored block costs about one draw and one heap push: each view holds one
+live production event, for its earliest pending pool and under the
+``(instant, sequence number)`` key of that pool's draw, so events fire in
+draw order.  Voting power is read once per staker and run, expected
+difficulty is memoised per block, and fork choice is updated per import.
+The flagship configuration (ten miners, ten stakers, thirty simulated days,
+a quarter million blocks) takes about twenty seconds.
 
 Under a latency model the replicas are made with ``BlockTree.replica`` from
 the observer's tree, and the observer imports every block first, so each
@@ -50,6 +54,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from itertools import accumulate
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -364,15 +369,20 @@ def parse_config_file(path: str) -> SimConfig:
 
 @dataclass(slots=True)
 class _MiningPool:
-    """A view's miners and their pending solve: the earliest of their draws."""
+    """A view's miners as one stream.  By Poisson superposition their
+    earliest solve is one exponential wait at their summed hash power, won
+    by each miner with probability ``h_i / sum h``; by memorylessness a
+    pending wait stays valid for as long as ``d_w`` does."""
 
     miners: List[MinerContext]
-    rngs: List[random.Random]
+    rng: random.Random
+    merged: MinerContext  # the summed hash power, under the first miner's account
+    cum_hash: List[float]  # cumulative hash power, for the winner's draw
     # The pending solve instant (inf when none), the sequence number of the
-    # draw that set it, and the miner it belongs to.
+    # draw that set it, and the difficulty it was drawn at.
     due: float = math.inf
     seq: int = 0
-    winner: int = 0
+    d_w: float = 0.0
 
 
 @dataclass(slots=True)
@@ -427,8 +437,10 @@ class _Engine:
                      + [(self._new_view(), [], [s]) for s in stakers])
         for view, pool_miners, pool_stakers in pools:
             if pool_miners:
+                cum_hash = list(accumulate(m.hash_power for m in pool_miners))
                 view.mining = _MiningPool(
-                    pool_miners, [self.oracle.rng("miner", m.account) for m in pool_miners])
+                    pool_miners, self.oracle.rng("miner", *(m.account for m in pool_miners)),
+                    MinerContext(pool_miners[0].account, cum_hash[-1]), cum_hash)
             if pool_stakers:
                 view.staking = _StakingPool(
                     pool_stakers, [(s.key, powers[s.account]) for s in pool_stakers])
@@ -473,11 +485,10 @@ class _Engine:
         mining, staking = view.mining, view.staking
         if mining is not None:
             d_w = tree.expected_difficulty(tip, BlockKind.POW)
-            dues = [now + pow_solve_time(miner, d_w, rng)
-                    for miner, rng in zip(mining.miners, mining.rngs)]
-            mining.winner = min(range(len(dues)), key=dues.__getitem__)
-            self._seq += 1
-            mining.due, mining.seq = dues[mining.winner], self._seq
+            if mining.due == math.inf or mining.d_w != d_w:  # fired, or the rate moved
+                self._seq += 1
+                mining.due = now + pow_solve_time(mining.merged, d_w, mining.rng)
+                mining.seq, mining.d_w = self._seq, d_w
         if staking is not None:
             d_s = tree.expected_difficulty(tip, BlockKind.POS)
             anchor = tree.seed_anchor(tip)
@@ -546,7 +557,9 @@ class _Engine:
     def _fire_pow(self, view: _View, now: float) -> None:
         mining = view.mining
         mining.due = math.inf
-        miner = mining.miners[mining.winner]
+        miner = mining.miners[0]
+        if len(mining.miners) > 1:
+            miner = mining.rng.choices(mining.miners, cum_weights=mining.cum_hash)[0]
         block = build_pow_block(self.oracle, view.tree, view.tree.canonical_tip, miner,
                                 solved_at=now)
         self._publish(view, block, now)
