@@ -231,9 +231,8 @@ def _run_attack(args) -> int:
 
 def _check_poisson_merge() -> List[criteria.Verdict]:
     # From equilibrium difficulty the whole run is stationary, so the merge
-    # law is judged on the whole chain's gaps, with no warm-up to cut.  A
-    # week, because the PoW/PoS imbalance spreads about 1 % over one day
-    # and 0.4 % over seven, so only a week can hold its 1 % limit.
+    # law is judged on the whole chain's gaps.  A week: over one day the
+    # PoW/PoS split spreads about 1 %, as wide as its limit.
     d_w, d_s = simnet.baseline_config().equilibrium_difficulties
     report = simnet.run(simnet.baseline_config(
         duration=7 * 86_400.0, d_genesis_w=d_w, d_genesis_s=d_s))

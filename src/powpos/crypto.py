@@ -193,15 +193,14 @@ class HashOracle:
 
     def sign_seeds(self, prev: Digest, sks: Sequence[bytes]) -> Tuple[List[bytes], List[float]]:
         """Each key's ``sign_seed(prev, sk)`` as raw bytes, and the ``unit`` of its ``hash``."""
-        keyed = self._keyed
-        anchored = keyed.copy()
+        anchored = self._keyed.copy()
         anchored.update(_encode_str("seed-signature") + _encode_digest(prev))
         signed, units = [], []
         for sk in sks:
             h = anchored.copy()
             h.update(_encode_bytes(sk))
             raw = h.digest()
-            h = keyed.copy()
+            h = self._keyed.copy()
             h.update(_DIGEST_FRAME + raw)
             signed.append(raw)
             units.append(_unit(int.from_bytes(h.digest(), "big")))

@@ -2,7 +2,9 @@
 
 Mining is collapsed to its event-level law: at difficulty ``d_w``, a miner
 with hash power ``h`` (attempts per second) solves after an exponential wait
-with rate ``h / d_w``, drawn from the miner's private RNG stream.
+with rate ``h / d_w``.  Miners that share a view draw as one: the earliest
+of their waits is one exponential at their summed power (the engine's
+mining pool), won by each miner in proportion to its power.
 
 Forging is deterministic per chain context.  A staker signs the last seed on
 the chain being extended, hashes the signature into a unit value ``u`` in
@@ -88,27 +90,24 @@ def pos_delay(oracle: HashOracle, signed_seed: Digest, d_s: float, voting_power:
     return _delays(d_s, [oracle.hash(signed_seed).unit], [voting_power])[0]
 
 
-def _signed_delays(oracle: HashOracle, seed: Digest, d_s: float,
-                   stakers: Sequence[Tuple[KeyPair, float]]) -> Tuple[List[bytes], List[float]]:
-    signed, units = oracle.sign_seeds(seed, [key.sk for key, _ in stakers])
-    return signed, _delays(d_s, units, [power for _, power in stakers])
-
-
 def pos_lottery(oracle: HashOracle, seed: Digest, d_s: float,
                 stakers: Sequence[Tuple[KeyPair, float]]) -> List[Tuple[Digest, float]]:
     """Each ``(key, voting power)``'s signed seed and delay on one seed anchor."""
-    signed, delays = _signed_delays(oracle, seed, d_s, stakers)
+    signed, units = oracle.sign_seeds(seed, [key.sk for key, _ in stakers])
+    delays = _delays(d_s, units, [power for _, power in stakers])
     return [(Digest.from_bytes(raw), delay) for raw, delay in zip(signed, delays)]
 
 
 def pos_winner(oracle: HashOracle, seed: Digest, d_s: float,
-               stakers: Sequence[Tuple[KeyPair, float]]) -> Tuple[Optional[int], Optional[Digest], float]:
+               stakers: Sequence[Tuple[KeyPair, float]],
+               ) -> Tuple[Optional[int], Optional[Digest], float]:
     """The earliest ``pos_lottery`` slot: its index, signed seed and delay.
 
     Ties go to the lowest index; the delay is infinite when no slot is
     finite, and ``(None, None, inf)`` is the draw of no stakers.
     """
-    signed, delays = _signed_delays(oracle, seed, d_s, stakers)
+    signed, units = oracle.sign_seeds(seed, [key.sk for key, _ in stakers])
+    delays = _delays(d_s, units, [power for _, power in stakers])
     if not delays:
         return None, None, math.inf
     best = min(range(len(delays)), key=delays.__getitem__)

@@ -12,23 +12,21 @@ every delivery, mining solve times come from one RNG stream per view, and
 forging delays are pure functions of chain state, so a run is a
 deterministic function of its configuration.
 
-Scale note: each view holds at most one pool per block kind, its miners and
-its stakers: one of each under perfect latency, one participant per
-replica under a latency model.  A mining pool is one Poisson stream: one
-exponential wait at the pool's summed hash power, redrawn only when it
-fired or ``d_w`` moved (by memorylessness a pending wait survives a PoS tip
-or a reorg that keeps ``d_w``), and a categorical draw of the winner by
-hash share when it fires.  A staking pool reruns ``pos_winner`` only when
-its seed anchor or ``d_s`` moves; every staker still signs every anchor,
-two oracle digests each, but only the earliest slot is kept, and only the
-staker that forges gets a ``PosEligibility``.  So under perfect latency a
-stored block costs about one draw and one heap push: each view holds one
-live production event, for its earliest pending pool and under the
-``(instant, sequence number)`` key of that pool's draw, so events fire in
-draw order.  Voting power is read once per staker and run, expected
-difficulty is memoised per block, and fork choice is updated per import.
-The flagship configuration (ten miners, ten stakers, thirty simulated days,
-a quarter million blocks) takes about twenty seconds.
+Scale note: each view holds at most one pool per block kind: one of each
+under perfect latency, a pool of one per replica under a latency model.  A
+mining pool is one Poisson stream, one exponential wait at its summed hash
+power, redrawn only when it fired or ``d_w`` moved (by memorylessness a
+pending wait survives any other tip change); when it fires, the winner is
+drawn by hash share.  A staking pool reruns ``pos_winner`` only when its
+seed anchor or ``d_s`` moves: every staker still signs every anchor, but
+only the earliest slot is kept and only its staker gets a
+``PosEligibility``.  Each view holds one live production event, for its
+earliest pending pool and under the ``(instant, sequence number)`` key of
+that pool's draw, so under perfect latency a stored block costs about one
+draw and one heap push.  Voting power is read once per staker and run, and
+expected difficulty is memoised per block.  The flagship configuration (ten
+miners, ten stakers, thirty days, a quarter million blocks) takes about
+twenty seconds.
 
 Under a latency model the replicas are made with ``BlockTree.replica`` from
 the observer's tree, and the observer imports every block first, so each
@@ -306,8 +304,10 @@ def parse_config_file(path: str) -> SimConfig:
     """Read a flat key = value file into a :class:`SimConfig`.
 
     Unknown keys are errors.  ``stakers``/``miners`` take space- or
-    comma-separated powers, either bare (accounts auto-assigned, stakers
-    first) or as explicit ``account:power`` pairs.
+    comma-separated powers, either bare or as explicit ``account:power``
+    pairs.  A bare power takes the next free account: stakers count from 0,
+    and miners from one past the highest staker account, in either line
+    order.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -339,8 +339,8 @@ def parse_config_file(path: str) -> SimConfig:
         "d_genesis_s": float,
         "d_min": float,
     }
-    for key, value in raw.items():
-        try:
+    for key, value in sorted(raw.items(), key=lambda item: item[0] == "miners"):
+        try:  # miners last, so that they number after every staker
             if key in casts:
                 kwargs[key] = casts[key](value)
             elif key == "stakers":
@@ -393,9 +393,7 @@ class _StakingPool:
     lottery: List[Tuple[KeyPair, float]]  # (key, voting power) per staker
     due: float = math.inf
     seq: int = 0
-    winner: int = 0
-    seed: Optional[Digest] = None
-    delay: float = math.inf
+    slot: Tuple[Optional[int], Optional[Digest], float] = (None, None, math.inf)  # pos_winner
     anchor: Optional[Block] = None
     d_s: float = 0.0
 
@@ -426,8 +424,7 @@ class _Engine:
         self.observer = _View(0, BlockTree(self.genesis, AdaptiveRule(self.params)))
         self.views = [self.observer]
         miners = [MinerContext(account, power) for account, power in config.miners]
-        stakers = [StakerContext(account, self.oracle.keypair(account))
-                   for account, _stake in config.stakers]
+        stakers = [StakerContext(a, self.oracle.keypair(a)) for a, _stake in config.stakers]
         # Stake is fixed from genesis, so each staker's power is read once.
         powers = {s.account: self.ledger.voting_power(s.account) for s in stakers}
         if config.latency.is_perfect:  # one shared view, one pool of each kind
@@ -467,7 +464,8 @@ class _Engine:
         pending pool, keyed by that pool's ``(due, seq)``."""
         key, kind = None, None
         for pool, pool_kind in ((view.mining, BlockKind.POW), (view.staking, BlockKind.POS)):
-            if pool is not None and pool.due < math.inf and (key is None or (pool.due, pool.seq) < key):
+            if (pool is not None and pool.due < math.inf
+                    and (key is None or (pool.due, pool.seq) < key)):
                 key, kind = (pool.due, pool.seq), pool_kind
         if key == view.armed:
             return  # the live event already carries it
@@ -492,13 +490,11 @@ class _Engine:
         if staking is not None:
             d_s = tree.expected_difficulty(tip, BlockKind.POS)
             anchor = tree.seed_anchor(tip)
-            if not (staking.due < math.inf and staking.anchor.id == anchor.id
-                    and staking.d_s == d_s):  # no pending slot on this anchor and difficulty
+            if staking.due == math.inf or staking.anchor.id != anchor.id or staking.d_s != d_s:
                 assert anchor.seed is not None
-                staking.winner, staking.seed, staking.delay = pos_winner(
-                    self.oracle, anchor.seed, d_s, staking.lottery)
+                staking.slot = pos_winner(self.oracle, anchor.seed, d_s, staking.lottery)
                 staking.anchor, staking.d_s = anchor, d_s
-                staking.due = max(now, anchor.timestamp + staking.delay)
+                staking.due = max(now, anchor.timestamp + staking.slot[2])
                 if staking.due < math.inf:
                     self._seq += 1
                     staking.seq = self._seq
@@ -557,9 +553,8 @@ class _Engine:
     def _fire_pow(self, view: _View, now: float) -> None:
         mining = view.mining
         mining.due = math.inf
-        miner = mining.miners[0]
-        if len(mining.miners) > 1:
-            miner = mining.rng.choices(mining.miners, cum_weights=mining.cum_hash)[0]
+        miner = (mining.rng.choices(mining.miners, cum_weights=mining.cum_hash)[0]
+                 if len(mining.miners) > 1 else mining.miners[0])
         block = build_pow_block(self.oracle, view.tree, view.tree.canonical_tip, miner,
                                 solved_at=now)
         self._publish(view, block, now)
@@ -569,11 +564,11 @@ class _Engine:
         # any other tip would have refreshed the view.
         staking = view.staking
         staking.due = math.inf
+        winner, seed, delay = staking.slot
         at = staking.anchor.timestamp
-        slot = PosEligibility(staking.seed, staking.delay, at + staking.delay,
-                              staking.anchor.id, at, staking.d_s)
+        slot = PosEligibility(seed, delay, at + delay, staking.anchor.id, at, staking.d_s)
         block = forge_pos_block(self.oracle, view.tree, view.tree.canonical_tip,
-                                staking.stakers[staking.winner], now=now, slot=slot)
+                                staking.stakers[winner], now=now, slot=slot)
         self._publish(view, block, now)
 
     def run(self) -> None:

@@ -151,6 +151,18 @@ rng_seed = 9
     assert config.rng_seed == 9
 
 
+def test_participant_line_order_does_not_change_numbering(tmp_path):
+    lines = ["miners = 1 2", "stakers = 10 20"]
+    configs = []
+    for name, order in (("miners-first.cfg", lines), ("stakers-first.cfg", lines[::-1])):
+        path = tmp_path / name
+        path.write_text("\n".join(order) + "\n")
+        configs.append(parse_config_file(str(path)))
+    assert configs[0] == configs[1]
+    assert configs[0].stakers == ((0, 10.0), (1, 20.0))
+    assert configs[0].miners == ((2, 1.0), (3, 2.0))
+
+
 CONFIGS_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
 
