@@ -264,16 +264,15 @@ def double_spend_win_rate(
     setup: AttackSetup,
     trials: int = 200,
     rng_seed: int = 1,
-) -> Tuple[float, List[AttackOutcome]]:
+) -> Tuple[float, np.ndarray]:
     """Seeded Monte Carlo over ``trials`` private double-spend races.
 
     Difficulty is frozen at the pre-fork equilibrium, so a side's final
     product is ``(td_wc + n_w * d_w) * (td_sc + n_s * d_s)`` with its PoW and
     PoS block counts ``n_w``, ``n_s`` Poisson over the horizon: the law of
     ``run_private_double_spend``'s frozen race, with every count of every
-    trial taken from one draw.  Outcomes carry no trajectory or crossing
-    time; ``meta["blocks"]`` holds the trial's counts as
-    ``(attacker PoW, attacker PoS, honest PoW, honest PoS)``.
+    trial taken from one draw.  Returns the win rate and the ``(trials, 4)``
+    counts, per trial ``(attacker PoW, attacker PoS, honest PoW, honest PoS)``.
     """
     if trials <= 0:
         raise ValueError("trials must be positive")
@@ -285,24 +284,7 @@ def double_spend_win_rate(
     td_w = setup.td_wc + counts[:, 0::2] * d_w   # columns: attacker, honest
     td_s = setup.td_sc + counts[:, 1::2] * d_s
     products = td_w * td_s
-    attacker, honest = products[:, 0], products[:, 1]
-    won = attacker > honest
-    ratio = np.full(trials, math.inf)
-    np.divide(attacker, honest, out=ratio, where=honest > 0)
-
-    lhs, feasible = double_spend_feasible(setup)
-    meta = {"attack": "private_double_spend", "lhs": lhs, "feasible": feasible,
-            "d_w": d_w, "d_s": d_s, "live_difficulty": False, "rng_seed": rng_seed}
-    outcomes = [
-        AttackOutcome(
-            attacker_won=w, crossing_time=None, weight_trajectories=[],
-            final_attacker_product=a, final_honest_product=h, max_product_ratio=r,
-            meta={**meta, "blocks": tuple(n)},
-        )
-        for w, a, h, r, n in zip(won.tolist(), attacker.tolist(), honest.tolist(),
-                                 ratio.tolist(), counts.tolist())
-    ]
-    return int(won.sum()) / trials, outcomes
+    return int((products[:, 0] > products[:, 1]).sum()) / trials, counts
 
 
 # ---------------------------------------------------------------------------

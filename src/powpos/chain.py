@@ -61,9 +61,10 @@ class BlockKind(Enum):
 class Block:
     """An immutable block record.
 
-    ``seed`` is present exactly on PoS and genesis blocks.  ``provenance`` is
-    analysis metadata (honest vs. named attack strategies); it takes no part
-    in consensus and is excluded from dumps.
+    ``seed`` is present exactly on PoS and genesis blocks.  A PoS block's
+    ``seed`` and ``timestamp`` are its producer's slot, the signed seed and
+    eligibility instant that ``forging.pos_winner`` draws on the block's seed
+    anchor at ``difficulty``.
     """
 
     id: int
@@ -74,7 +75,6 @@ class Block:
     height: int
     producer: Optional[int]
     seed: Optional[Digest] = None
-    provenance: str = "honest"
 
 
 @dataclass(frozen=True, slots=True)

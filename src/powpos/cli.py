@@ -129,8 +129,8 @@ def _run_attack(args) -> int:
             td_wc=100.0, td_sc=100.0, horizon=10_000.0,
         )
         lhs, feasible = attacks.double_spend_feasible(setup)
-        rate, outcomes = attacks.double_spend_win_rate(config, setup, trials, seed)
-        low, high = stats.wilson_interval(sum(o.attacker_won for o in outcomes), trials)
+        rate, _ = attacks.double_spend_win_rate(config, setup, trials, seed)
+        low, high = stats.wilson_interval(round(rate * trials), trials)
         sample = attacks.run_private_double_spend(config, setup, rng_seed=seed)
         trajectories = sample.weight_trajectories
         payload.update({

@@ -21,10 +21,12 @@ validator from the seed, so stakers cannot steer their next draw by shading
 timestamps.
 
 ``pos_lottery`` is the slot kernel: on one seed anchor and ``d_s`` it signs
-every staker's seed in one ``HashOracle.sign_seeds`` pass.  Eligibility,
-verification and the split-stake attack draw through it.  ``pos_winner`` is
-the same pass kept to its earliest slot, the only one that can forge; the
-engine draws through it and makes one ``Digest`` per anchor.
+every staker's seed in one ``HashOracle.sign_seeds`` pass; the split-stake
+attack draws through it.  ``pos_winner`` is the same pass kept to its
+earliest slot, the only one that can forge, and returns it as the
+``PosEligibility`` record that forging, eligibility and verification share:
+the engine keeps it per anchor and forges from it, ``pos_eligibility`` is
+one key's draw on a tree, and ``verify_pos_block`` compares a block with it.
 """
 
 from __future__ import annotations
@@ -56,13 +58,12 @@ class StakerContext:
 
 @dataclass(frozen=True, slots=True)
 class PosEligibility:
-    """One staker's forging slot for a given chain context."""
+    """A forging slot: the signed seed and the instant it becomes eligible,
+    on the seed anchor and at the PoS difficulty it was drawn on."""
 
     seed: Digest
-    delay: float
     eligible_at: float
     anchor_id: int
-    anchor_timestamp: float
     difficulty: float
 
 
@@ -98,20 +99,21 @@ def pos_lottery(oracle: HashOracle, seed: Digest, d_s: float,
     return [(Digest.from_bytes(raw), delay) for raw, delay in zip(signed, delays)]
 
 
-def pos_winner(oracle: HashOracle, seed: Digest, d_s: float,
+def pos_winner(oracle: HashOracle, anchor: Block, d_s: float,
                stakers: Sequence[Tuple[KeyPair, float]],
-               ) -> Tuple[Optional[int], Optional[Digest], float]:
-    """The earliest ``pos_lottery`` slot: its index, signed seed and delay.
+               ) -> Tuple[Optional[int], Optional[PosEligibility]]:
+    """The earliest ``pos_lottery`` slot on the seed anchor ``anchor``: its index and slot.
 
-    Ties go to the lowest index; the delay is infinite when no slot is
-    finite, and ``(None, None, inf)`` is the draw of no stakers.
+    Ties go to the lowest index; the slot's ``eligible_at`` is infinite when
+    no staker has power, and ``(None, None)`` is the draw of no stakers.
     """
-    signed, units = oracle.sign_seeds(seed, [key.sk for key, _ in stakers])
+    signed, units = oracle.sign_seeds(anchor.seed, [key.sk for key, _ in stakers])
     delays = _delays(d_s, units, [power for _, power in stakers])
     if not delays:
-        return None, None, math.inf
+        return None, None
     best = min(range(len(delays)), key=delays.__getitem__)
-    return best, Digest.from_bytes(signed[best]), delays[best]
+    return best, PosEligibility(Digest.from_bytes(signed[best]),
+                                anchor.timestamp + delays[best], anchor.id, d_s)
 
 
 def pos_eligibility(
@@ -121,24 +123,14 @@ def pos_eligibility(
     staker: StakerContext,
     voting_power: float,
 ) -> PosEligibility:
-    """Evaluate the staker's slot on the chain ending at ``parent_id``.
+    """The staker's slot on the chain ending at ``parent_id``.
 
-    The eligibility delay uses the difficulty the new block itself will
-    carry, and is anchored at the timestamp of the chain's last PoS block.
+    It is drawn on the chain's seed anchor, at the difficulty the new block
+    itself will carry.
     """
-    anchor = tree.seed_anchor(parent_id)
-    assert anchor.seed is not None
     difficulty = tree.expected_difficulty(parent_id, BlockKind.POS)
-    [(signed, delay)] = pos_lottery(oracle, anchor.seed, difficulty,
-                                    [(staker.key, voting_power)])
-    return PosEligibility(
-        seed=signed,
-        delay=delay,
-        eligible_at=anchor.timestamp + delay,
-        anchor_id=anchor.id,
-        anchor_timestamp=anchor.timestamp,
-        difficulty=difficulty,
-    )
+    return pos_winner(oracle, tree.seed_anchor(parent_id), difficulty,
+                      [(staker.key, voting_power)])[1]
 
 
 def _block_id(oracle: HashOracle, parent_id: int, kind: BlockKind, difficulty: float,
@@ -154,46 +146,34 @@ def forge_pos_block(
     tree: BlockTree,
     parent_id: int,
     staker: StakerContext,
-    voting_power: Optional[float] = None,
+    slot: PosEligibility,
     now: Optional[float] = None,
-    provenance: str = "honest",
-    slot: Optional[PosEligibility] = None,
 ) -> Block:
-    """Build the staker's PoS block on ``parent_id``.
+    """Build the staker's PoS block on ``parent_id``, stamped at its slot's instant.
 
-    The timestamp is forced to the eligibility instant.  Passing ``now``
-    enforces that the slot has arrived; forging ahead of it is reserved for
-    flagged attack strategies.  ``slot`` is the staker's slot as
-    ``pos_eligibility`` evaluated it on a chain with ``parent_id``'s seed
-    anchor and PoS difficulty; it is checked against both, and its power is
-    already in its delay, so ``voting_power`` is read only when ``slot`` is
-    omitted and the slot is evaluated afresh.
+    ``slot`` is the staker's slot as ``pos_winner`` drew it on a chain with
+    ``parent_id``'s seed anchor and PoS difficulty; it is checked against
+    both.  Passing ``now`` enforces that the slot has arrived.
     """
-    if slot is None:
-        if voting_power is None:
-            raise ValueError("voting_power is required without a slot")
-        slot = pos_eligibility(oracle, tree, parent_id, staker, voting_power)
-    elif (slot.anchor_id != tree.seed_anchor(parent_id).id
-          or slot.difficulty != tree.expected_difficulty(parent_id, BlockKind.POS)):
+    if (slot.anchor_id != tree.seed_anchor(parent_id).id
+            or slot.difficulty != tree.expected_difficulty(parent_id, BlockKind.POS)):
         raise EligibilityError("slot belongs to another seed anchor or difficulty")
     if not math.isfinite(slot.eligible_at):
         raise EligibilityError("zero voting power never becomes eligible")
-    if now is not None and now < slot.eligible_at and provenance == "honest":
-        raise EligibilityError("slot not reached; early forging is an attack behavior")
+    if now is not None and now < slot.eligible_at:
+        raise EligibilityError("slot not reached")
     parent = tree.block(parent_id)
-    timestamp = slot.anchor_timestamp + slot.delay
     height = parent.height + 1
     return Block(
-        id=_block_id(oracle, parent_id, BlockKind.POS, slot.difficulty, timestamp,
+        id=_block_id(oracle, parent_id, BlockKind.POS, slot.difficulty, slot.eligible_at,
                      height, staker.account, slot.seed),
         parent_id=parent_id,
         kind=BlockKind.POS,
         difficulty=slot.difficulty,
-        timestamp=timestamp,
+        timestamp=slot.eligible_at,
         height=height,
         producer=staker.account,
         seed=slot.seed,
-        provenance=provenance,
     )
 
 
@@ -203,7 +183,6 @@ def build_pow_block(
     parent_id: int,
     miner: MinerContext,
     solved_at: float,
-    provenance: str = "honest",
 ) -> Block:
     """Build the miner's PoW block on ``parent_id``, stamped at solve time.
 
@@ -223,7 +202,6 @@ def build_pow_block(
         height=height,
         producer=miner.account,
         seed=None,
-        provenance=provenance,
     )
 
 
@@ -241,12 +219,8 @@ def verify_pos_block(
     parent chain's seed anchor under the producer's key and its timestamp
     equals the anchored eligibility instant.
     """
-    if block.kind is not BlockKind.POS or block.parent_id is None:
+    if block.kind is not BlockKind.POS or block.parent_id not in tree:
         return False
-    if block.parent_id not in tree:
-        return False
-    anchor = tree.seed_anchor(block.parent_id)
-    assert anchor.seed is not None
-    [(expected_seed, delay)] = pos_lottery(oracle, anchor.seed, block.difficulty,
-                                           [(producer_key, voting_power)])
-    return block.seed == expected_seed and block.timestamp == anchor.timestamp + delay
+    _, slot = pos_winner(oracle, tree.seed_anchor(block.parent_id), block.difficulty,
+                         [(producer_key, voting_power)])
+    return block.seed == slot.seed and block.timestamp == slot.eligible_at

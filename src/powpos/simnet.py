@@ -19,7 +19,7 @@ power, redrawn only when it fired or ``d_w`` moved (by memorylessness a
 pending wait survives any other tip change); when it fires, the winner is
 drawn by hash share.  A staking pool reruns ``pos_winner`` only when its
 seed anchor or ``d_s`` moves: every staker still signs every anchor, but
-only the earliest slot is kept and only its staker gets a
+only the earliest slot is kept, and the winner forges from that very
 ``PosEligibility``.  Each view holds one live production event, for its
 earliest pending pool and under the ``(instant, sequence number)`` key of
 that pool's draw, so under perfect latency a stored block costs about one
@@ -59,7 +59,7 @@ import numpy as np
 
 from . import stats
 from .chain import Block, BlockKind, BlockTree, ImportResult, make_genesis
-from .crypto import Digest, HashOracle, KeyPair
+from .crypto import HashOracle, KeyPair
 from .difficulty import AdaptiveRule, DifficultyParams
 from .forging import (
     MinerContext,
@@ -387,15 +387,15 @@ class _MiningPool:
 
 @dataclass(slots=True)
 class _StakingPool:
-    """A view's stakers and their earliest slot on ``anchor`` at ``d_s``."""
+    """A view's stakers and the winner of their lottery: its index and its
+    slot, which names the seed anchor and ``d_s`` it was drawn on."""
 
     stakers: List[StakerContext]
     lottery: List[Tuple[KeyPair, float]]  # (key, voting power) per staker
     due: float = math.inf
     seq: int = 0
-    slot: Tuple[Optional[int], Optional[Digest], float] = (None, None, math.inf)  # pos_winner
-    anchor: Optional[Block] = None
-    d_s: float = 0.0
+    winner: Optional[int] = None
+    slot: Optional[PosEligibility] = None
 
 
 @dataclass(slots=True)
@@ -490,11 +490,11 @@ class _Engine:
         if staking is not None:
             d_s = tree.expected_difficulty(tip, BlockKind.POS)
             anchor = tree.seed_anchor(tip)
-            if staking.due == math.inf or staking.anchor.id != anchor.id or staking.d_s != d_s:
-                assert anchor.seed is not None
-                staking.slot = pos_winner(self.oracle, anchor.seed, d_s, staking.lottery)
-                staking.anchor, staking.d_s = anchor, d_s
-                staking.due = max(now, anchor.timestamp + staking.slot[2])
+            slot = staking.slot
+            if staking.due == math.inf or slot.anchor_id != anchor.id or slot.difficulty != d_s:
+                staking.winner, staking.slot = pos_winner(self.oracle, anchor, d_s,
+                                                          staking.lottery)
+                staking.due = max(now, staking.slot.eligible_at)
                 if staking.due < math.inf:
                     self._seq += 1
                     staking.seq = self._seq
@@ -564,11 +564,8 @@ class _Engine:
         # any other tip would have refreshed the view.
         staking = view.staking
         staking.due = math.inf
-        winner, seed, delay = staking.slot
-        at = staking.anchor.timestamp
-        slot = PosEligibility(seed, delay, at + delay, staking.anchor.id, at, staking.d_s)
         block = forge_pos_block(self.oracle, view.tree, view.tree.canonical_tip,
-                                staking.stakers[winner], now=now, slot=slot)
+                                staking.stakers[staking.winner], staking.slot, now=now)
         self._publish(view, block, now)
 
     def run(self) -> None:

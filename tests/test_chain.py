@@ -29,7 +29,8 @@ def mine(oracle, tree, parent_id, at, account=7):
 
 def forge(oracle, tree, parent_id, account=3, power=100.0):
     staker = forging.StakerContext(account=account, key=oracle.keypair(account))
-    return forging.forge_pos_block(oracle, tree, parent_id, staker, power)
+    slot = forging.pos_eligibility(oracle, tree, parent_id, staker, power)
+    return forging.forge_pos_block(oracle, tree, parent_id, staker, slot)
 
 
 def test_genesis_base_weight_is_one_one():
@@ -76,7 +77,6 @@ def test_wrong_difficulty_is_invalid():
         id=good.id + 1, parent_id=good.parent_id, kind=good.kind,
         difficulty=good.difficulty * 2.0, timestamp=good.timestamp,
         height=good.height, producer=good.producer, seed=good.seed,
-        provenance=good.provenance,
     )
     assert tree.import_block(bad, 1.0, 10.0) is ImportResult.INVALID
 
@@ -87,7 +87,7 @@ def test_unknown_parent_is_invalid():
     orphan = Block(
         id=b.id + 99, parent_id=123456789, kind=b.kind, difficulty=b.difficulty,
         timestamp=b.timestamp, height=b.height, producer=b.producer,
-        seed=b.seed, provenance=b.provenance,
+        seed=b.seed,
     )
     assert tree.import_block(orphan, 1.0, 10.0) is ImportResult.INVALID
 

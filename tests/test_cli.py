@@ -273,6 +273,19 @@ def test_attack_double_spend_reports_trials_and_interval(tmp_path, capsys):
     assert low == pytest.approx(1 - 0.01885, abs=5e-6) and high == 1.0
 
 
+def test_attack_long_range_writes_report_and_trajectories(tmp_path, cfg_path, capsys):
+    outdir = str(tmp_path / "attack")
+    code = cli.main(["attack", "long-range", "--config", cfg_path, "--trials", "3",
+                     "--out", outdir])
+    assert code == cli.EXIT_OK
+    assert "attacker_won=False" in capsys.readouterr().out
+    with open(os.path.join(outdir, "attack_report.json"), encoding="utf-8") as fh:
+        payload = json.load(fh)
+    assert payload["attack"] == "long-range" and payload["trials"] == 3
+    assert payload["any_attacker_won"] is False
+    assert os.path.getsize(os.path.join(outdir, "trajectories.csv")) > 0
+
+
 def test_attack_public_double_spend_reports_intervals(tmp_path, capsys):
     outdir = str(tmp_path / "attack")
     code = cli.main(["attack", "public-double-spend", "--trials", "20", "--out", outdir])

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from powpos import crypto, difficulty, forging, stats
-from powpos.chain import BlockKind, BlockTree, ImportResult, make_genesis
+from powpos.chain import Block, BlockKind, BlockTree, ImportResult, make_genesis
 from powpos.forging import (
     EligibilityError,
     MinerContext,
@@ -32,6 +32,18 @@ def frozen_tree(seed=1, d_w=20.0, d_s=7600.0):
 
 def staker(oracle, account):
     return StakerContext(account=account, key=oracle.keypair(account))
+
+
+def seed_anchor(seed, timestamp=0.0):
+    """A stand-alone seed anchor carrying ``seed``."""
+    return Block(id=1, parent_id=None, kind=BlockKind.GENESIS, difficulty=1.0,
+                 timestamp=timestamp, height=0, producer=None, seed=seed)
+
+
+def forge(oracle, tree, parent_id, ctx, power):
+    """Forge from the staker's own slot on ``parent_id``."""
+    slot = pos_eligibility(oracle, tree, parent_id, ctx, power)
+    return forge_pos_block(oracle, tree, parent_id, ctx, slot)
 
 
 # -- mining ----------------------------------------------------------------
@@ -120,7 +132,8 @@ def test_eligibility_order_tracks_hash_units_at_equal_power():
         slots[account] = pos_eligibility(oracle, tree, tree.canonical_tip, ctx, 10.0)
         signed = oracle.sign_seed(anchor.seed, ctx.key.sk)
         units[account] = oracle.hash(signed).unit
-    by_delay = sorted(slots, key=lambda a: slots[a].delay)
+    # Genesis anchors at 0, so each instant is the delay itself.
+    by_delay = sorted(slots, key=lambda a: slots[a].eligible_at)
     by_unit = sorted(units, key=lambda a: abs(math.log(units[a])))
     assert by_delay == by_unit
     assert len({slots[a].seed for a in slots}) == 8  # distinct signatures
@@ -151,7 +164,7 @@ def test_lottery_equals_key_by_key_draws(run_seed, anchor, d_s, stakers):
 
     # pos_eligibility on a real tree, anchored past genesis, is unchanged.
     oracle, tree = frozen_tree(seed=run_seed, d_s=d_s)
-    block = forge_pos_block(oracle, tree, tree.canonical_tip, staker(oracle, 10**7), 1.0)
+    block = forge(oracle, tree, tree.canonical_tip, staker(oracle, 10**7), 1.0)
     tree.import_block(block)
     anchor_block = tree.seed_anchor(block.id)
     assert anchor_block.id == block.id
@@ -160,8 +173,8 @@ def test_lottery_equals_key_by_key_draws(run_seed, anchor, d_s, stakers):
         signed = oracle.sign_seed(anchor_block.seed, ctx.key.sk)
         delay = pos_delay(oracle, signed, d_s, power)
         assert pos_eligibility(oracle, tree, block.id, ctx, power) == forging.PosEligibility(
-            seed=signed, delay=delay, eligible_at=block.timestamp + delay,
-            anchor_id=block.id, anchor_timestamp=block.timestamp, difficulty=d_s)
+            seed=signed, eligible_at=block.timestamp + delay, anchor_id=block.id,
+            difficulty=d_s)
 
 
 @settings(max_examples=150, deadline=None)
@@ -177,7 +190,10 @@ def test_winner_is_the_earliest_lottery_slot(run_seed, anchor, d_s, stakers):
     pairs = [(oracle.keypair(account), power) for account, power in stakers]
     slots = pos_lottery(oracle, seed, d_s, pairs)
     earliest = min(range(len(slots)), key=lambda i: (slots[i][1], i))
-    assert pos_winner(oracle, seed, d_s, pairs) == (earliest, *slots[earliest])
+    signed, delay = slots[earliest]
+    block = seed_anchor(seed, timestamp=250.5)
+    assert pos_winner(oracle, block, d_s, pairs) == (earliest, forging.PosEligibility(
+        seed=signed, eligible_at=250.5 + delay, anchor_id=block.id, difficulty=d_s))
 
 
 def test_winner_ties_go_to_the_lowest_index():
@@ -187,19 +203,21 @@ def test_winner_ties_go_to_the_lowest_index():
     # One key twice draws one slot twice: an exact tie.
     [(signed, delay)] = pos_lottery(oracle, seed, 7600.0, [(key, 10.0)])
     stakers = [(oracle.keypair(8), 0.0), (key, 10.0), (key, 10.0)]
-    assert pos_winner(oracle, seed, 7600.0, stakers) == (1, signed, delay)
+    index, slot = pos_winner(oracle, seed_anchor(seed), 7600.0, stakers)
+    assert (index, slot.seed, slot.eligible_at) == (1, signed, delay)
 
 
 def test_winner_of_zero_power_or_no_stakers_never_forges():
     oracle = crypto.HashOracle(1)
     seed = crypto.genesis_seed(oracle)
+    anchor = seed_anchor(seed)
     key = oracle.keypair(1)
     signed = oracle.sign_seed(seed, key.sk)
-    assert pos_winner(oracle, seed, 7600.0, [(key, 0.0), (oracle.keypair(2), 0.0)]) == (
-        0, signed, math.inf)
-    assert pos_winner(oracle, seed, 7600.0, []) == (None, None, math.inf)
+    index, slot = pos_winner(oracle, anchor, 7600.0, [(key, 0.0), (oracle.keypair(2), 0.0)])
+    assert (index, slot.seed, slot.eligible_at) == (0, signed, math.inf)
+    assert pos_winner(oracle, anchor, 7600.0, []) == (None, None)
     with pytest.raises(ValueError, match="stake difficulty"):
-        pos_winner(oracle, seed, 0.0, [(key, 10.0)])
+        pos_winner(oracle, anchor, 0.0, [(key, 10.0)])
 
 
 def test_lottery_of_no_stakers_is_empty():
@@ -225,9 +243,9 @@ def test_forged_block_timestamp_is_the_eligibility_instant():
     oracle, tree = frozen_tree()
     ctx = staker(oracle, 3)
     slot = pos_eligibility(oracle, tree, tree.canonical_tip, ctx, 100.0)
-    block = forge_pos_block(oracle, tree, tree.canonical_tip, ctx, 100.0)
-    assert block.timestamp == slot.anchor_timestamp + slot.delay
+    block = forge_pos_block(oracle, tree, tree.canonical_tip, ctx, slot)
     assert block.timestamp == slot.eligible_at
+    assert block.seed == slot.seed
     assert block.difficulty == slot.difficulty == 7600.0
     assert block.height == 1
     assert block.producer == 3
@@ -236,36 +254,34 @@ def test_forged_block_timestamp_is_the_eligibility_instant():
 def test_forging_is_deterministic():
     oracle, tree = frozen_tree()
     ctx = staker(oracle, 3)
-    a = forge_pos_block(oracle, tree, tree.canonical_tip, ctx, 100.0)
-    b = forge_pos_block(oracle, tree, tree.canonical_tip, ctx, 100.0)
+    a = forge(oracle, tree, tree.canonical_tip, ctx, 100.0)
+    b = forge(oracle, tree, tree.canonical_tip, ctx, 100.0)
     assert a.id == b.id and a.timestamp == b.timestamp and a.seed == b.seed
 
 
 def test_second_round_anchors_on_first_pos_block():
     oracle, tree = frozen_tree()
     ctx = staker(oracle, 3)
-    first = forge_pos_block(oracle, tree, tree.canonical_tip, ctx, 100.0)
+    first = forge(oracle, tree, tree.canonical_tip, ctx, 100.0)
     assert tree.import_block(first, first.timestamp, 10.0) is ImportResult.EXTENDED_CANONICAL
     second_slot = pos_eligibility(oracle, tree, first.id, ctx, 100.0)
     assert second_slot.anchor_id == first.id
-    assert second_slot.anchor_timestamp == first.timestamp
+    assert second_slot.eligible_at == first.timestamp + pos_delay(
+        oracle, second_slot.seed, 7600.0, 100.0)
     assert second_slot.seed != first.seed
 
 
 def test_early_honest_forging_is_rejected():
     oracle, tree = frozen_tree()
     ctx = staker(oracle, 3)
-    slot = pos_eligibility(oracle, tree, tree.canonical_tip, ctx, 100.0)
+    root = tree.canonical_tip
+    slot = pos_eligibility(oracle, tree, root, ctx, 100.0)
+    early = math.nextafter(slot.eligible_at, -math.inf)
     with pytest.raises(EligibilityError, match="slot not reached"):
-        forge_pos_block(oracle, tree, tree.canonical_tip, ctx, 100.0, now=slot.eligible_at - 1.0)
-    ok = forge_pos_block(oracle, tree, tree.canonical_tip, ctx, 100.0, now=slot.eligible_at)
+        forge_pos_block(oracle, tree, root, ctx, slot, now=early)
+    ok = forge_pos_block(oracle, tree, root, ctx, slot, now=slot.eligible_at)
     assert ok.timestamp == slot.eligible_at
-    # Flagged strategies may forge ahead of the slot; the stamp stays forced.
-    early = forge_pos_block(
-        oracle, tree, tree.canonical_tip, ctx, 100.0, now=0.0, provenance="withheld"
-    )
-    assert early.timestamp == slot.eligible_at
-    assert early.provenance == "withheld"
+    assert ok == forge_pos_block(oracle, tree, root, ctx, slot)
 
 
 def test_forging_from_an_evaluated_slot():
@@ -273,34 +289,34 @@ def test_forging_from_an_evaluated_slot():
     ctx = staker(oracle, 3)
     root = tree.canonical_tip
     slot = pos_eligibility(oracle, tree, root, ctx, 100.0)
-    fresh = forge_pos_block(oracle, tree, root, ctx, 100.0)
-    assert forge_pos_block(oracle, tree, root, ctx, 100.0, slot=slot) == fresh
-    with pytest.raises(EligibilityError, match="slot not reached"):
-        forge_pos_block(oracle, tree, root, ctx, 100.0, now=slot.eligible_at - 1.0, slot=slot)
+    fresh = forge_pos_block(oracle, tree, root, ctx, slot)
     # A slot evaluated on another seed anchor or difficulty is refused.
     other = dataclasses.replace(slot, difficulty=2 * slot.difficulty)
     with pytest.raises(EligibilityError, match="another seed anchor or difficulty"):
-        forge_pos_block(oracle, tree, root, ctx, 100.0, slot=other)
+        forge_pos_block(oracle, tree, root, ctx, other)
     assert tree.import_block(fresh, fresh.timestamp, 10.0) is ImportResult.EXTENDED_CANONICAL
     with pytest.raises(EligibilityError, match="another seed anchor or difficulty"):
-        forge_pos_block(oracle, tree, fresh.id, ctx, 100.0, slot=slot)
+        forge_pos_block(oracle, tree, fresh.id, ctx, slot)
 
 
 def test_forging_from_a_slot_needs_no_power():
+    # The winner of a lottery forges from its slot alone: the block its own
+    # one-key draw forges, which verifies.
     oracle, tree = frozen_tree()
-    ctx = staker(oracle, 3)
     root = tree.canonical_tip
-    slot = pos_eligibility(oracle, tree, root, ctx, 100.0)
-    block = forge_pos_block(oracle, tree, root, ctx, now=slot.eligible_at, slot=slot)
-    assert block == forge_pos_block(oracle, tree, root, ctx, 100.0)
-    with pytest.raises(ValueError, match="voting_power is required"):
-        forge_pos_block(oracle, tree, root, ctx)
+    ctxs = [staker(oracle, account) for account in range(5)]
+    powers = [10.0 * (account + 1) for account in range(5)]
+    winner, slot = pos_winner(oracle, tree.seed_anchor(root), 7600.0,
+                              [(ctx.key, power) for ctx, power in zip(ctxs, powers)])
+    block = forge_pos_block(oracle, tree, root, ctxs[winner], slot, now=slot.eligible_at)
+    assert block == forge(oracle, tree, root, ctxs[winner], powers[winner])
+    assert verify_pos_block(oracle, tree, block, ctxs[winner].key, powers[winner])
 
 
 def test_zero_power_cannot_forge():
     oracle, tree = frozen_tree()
     with pytest.raises(EligibilityError, match="zero voting power"):
-        forge_pos_block(oracle, tree, tree.canonical_tip, staker(oracle, 3), 0.0)
+        forge(oracle, tree, tree.canonical_tip, staker(oracle, 3), 0.0)
 
 
 def test_pow_block_carries_expected_difficulty():
@@ -320,18 +336,19 @@ def test_pow_block_carries_expected_difficulty():
 def test_verify_accepts_honest_pos_block():
     oracle, tree = frozen_tree()
     ctx = staker(oracle, 4)
-    block = forge_pos_block(oracle, tree, tree.canonical_tip, ctx, 50.0)
+    block = forge(oracle, tree, tree.canonical_tip, ctx, 50.0)
     assert verify_pos_block(oracle, tree, block, ctx.key, 50.0)
 
 
 def test_verify_rejects_wrong_key_power_or_tampering():
     oracle, tree = frozen_tree()
     ctx = staker(oracle, 4)
-    block = forge_pos_block(oracle, tree, tree.canonical_tip, ctx, 50.0)
+    block = forge(oracle, tree, tree.canonical_tip, ctx, 50.0)
     assert not verify_pos_block(oracle, tree, block, oracle.keypair(5), 50.0)
     assert not verify_pos_block(oracle, tree, block, ctx.key, 51.0)
-    shifted = dataclasses.replace(block, timestamp=block.timestamp + 1.0)
-    assert not verify_pos_block(oracle, tree, shifted, ctx.key, 50.0)
+    for timestamp in (block.timestamp + 1.0, math.nextafter(block.timestamp, math.inf)):
+        shifted = dataclasses.replace(block, timestamp=timestamp)
+        assert not verify_pos_block(oracle, tree, shifted, ctx.key, 50.0)
     pow_block = build_pow_block(
         oracle, tree, tree.canonical_tip, MinerContext(1, 1.0), solved_at=5.0
     )
@@ -341,6 +358,6 @@ def test_verify_rejects_wrong_key_power_or_tampering():
 def test_verify_rejects_unknown_parent():
     oracle, tree = frozen_tree(seed=1)
     ctx = staker(oracle, 4)
-    block = forge_pos_block(oracle, tree, tree.canonical_tip, ctx, 50.0)
+    block = forge(oracle, tree, tree.canonical_tip, ctx, 50.0)
     _, other = frozen_tree(seed=2)
     assert not verify_pos_block(oracle, other, block, ctx.key, 50.0)

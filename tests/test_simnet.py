@@ -479,24 +479,44 @@ def test_pos_block_from_reused_slot_equals_recomputed(monkeypatch, name):
     engine = simnet._Engine(ENGINE_HOURS[name]())
     checked = []
 
-    # Keyword-only: the engine forges from the slot and passes no power.
-    def checked_forge(oracle, tree, parent_id, staker, *, now, slot):
-        block = forging.forge_pos_block(oracle, tree, parent_id, staker,
-                                        now=now, slot=slot)
+    # The engine forges from the slot its lottery kept and passes no power.
+    def checked_forge(oracle, tree, parent_id, staker, slot, *, now):
         fresh_power = engine.ledger.voting_power(staker.account)
-        assert block == forging.forge_pos_block(oracle, tree, parent_id, staker,
-                                                fresh_power, now=now)
-        # The reused slot keeps the honest check that its instant has come.
+        assert slot == forging.pos_eligibility(oracle, tree, parent_id, staker, fresh_power)
+        block = forging.forge_pos_block(oracle, tree, parent_id, staker, slot, now=now)
+        # The reused slot keeps the check that its instant has come.
         early = math.nextafter(slot.eligible_at, -math.inf)
         with pytest.raises(forging.EligibilityError):
-            forging.forge_pos_block(oracle, tree, parent_id, staker,
-                                    now=early, slot=slot)
+            forging.forge_pos_block(oracle, tree, parent_id, staker, slot, now=early)
         checked.append(block)
         return block
 
     monkeypatch.setattr(simnet, "forge_pos_block", checked_forge)
     engine.run()
     assert len(checked) > 50
+
+
+@pytest.mark.parametrize("latency, stored, side", [
+    (LatencyModel.fixed(2.0), 224, 53),
+    (LatencyModel.uniform(0.0, 5.0), 271, 71),
+], ids=["fixed2", "uniform05"])
+def test_every_stored_pos_block_verifies_under_latency(latency, stored, side):
+    # Side-chain blocks too: each was forged in its producer's view, and the
+    # observer recomputes its slot from the block's own parent.
+    config = equilibrium_hour(latency=latency)
+    engine = simnet._Engine(config)
+    engine.run()
+    tree = engine.observer.tree
+    stakes = dict(config.stakers)
+    blocks = [node.block for node in tree.nodes.values() if node.block.kind is BlockKind.POS]
+    canonical = {block.id for block in tree.canonical_chain()}
+    assert (len(blocks), sum(block.id not in canonical for block in blocks)) == (stored, side)
+    for block in blocks:
+        key = engine.oracle.keypair(block.producer)
+        power = stakes[block.producer]
+        assert forging.verify_pos_block(engine.oracle, tree, block, key, power)
+        late = replace(block, timestamp=math.nextafter(block.timestamp, math.inf))
+        assert not forging.verify_pos_block(engine.oracle, tree, late, key, power)
 
 
 def test_voting_power_is_read_once_per_staker(monkeypatch):
