@@ -12,10 +12,10 @@ individual producers merge into a single Poisson process per kind.  Where
 only the final weights matter (the private double spend at frozen
 difficulty, ``double_spend_win_rate``), each side's product depends only on
 its Poisson block count per kind, so all trials come from one numpy draw.
-Every loop whose path matters (live difficulty, trajectories and crossing
-times, the selfish and public-network policies, the long-range replay)
-iterates one race kernel, ``_race``, which merges such streams into a single
-sequence of events.
+Every loop whose path matters (trajectories and crossing times, the selfish
+and public-network policies, the long-range replay) iterates one race
+kernel, ``_race``, which merges such streams into a single sequence of
+events.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import numpy as np
 
 from .chain import BlockKind
 from .crypto import HashOracle
-from .difficulty import DifficultyParams, adjust
+from .difficulty import adjust
 from .forging import pos_lottery
 from . import stats
 from .simnet import SimConfig, SimReport, run as run_sim
@@ -126,47 +126,16 @@ def _seeded_trials(run_one, trials: int, rng_seed: int):
     return sum(1 for o in outcomes if o.attacker_won) / trials, outcomes
 
 
-class _ChainGrowth:
-    """One side of a race: exponential block arrivals accumulating weight.
-
-    Kinds are indexed as the race's streams: 0 is PoW, 1 is PoS.  With
-    ``params`` set, each kind's difficulty follows the production controller
-    using this chain's own gaps; otherwise difficulty is frozen.
-    """
-
-    def __init__(self, td_w, td_s, d_w, d_s, hash_power, stake_power,
-                 params: Optional[DifficultyParams] = None):
-        self.weights = [td_w, td_s]
-        self.powers = (hash_power, stake_power)
-        self.params = params
-        # Per kind: difficulty of the latest block, its timestamp and the
-        # last observed gap (None until two blocks exist, meaning "use the
-        # starting value").
-        self.state = [[d_w, 0.0, None], [d_s, 0.0, None]]
-
-    def next_difficulty(self, kind: int) -> float:
-        d, _ts, gap = self.state[kind]
-        if self.params is None or gap is None:
-            return d
-        return adjust(d, gap, self.params)
-
-    def rate(self, kind: int) -> float:
-        return self.powers[kind] / self.next_difficulty(kind)
-
-    @property
-    def product(self) -> float:
-        return self.weights[0] * self.weights[1]
-
-    def run(self, horizon: float, rng, trajectory: Optional[list] = None) -> None:
-        rates = [self.rate(0), self.rate(1)]
-        for now, kind in _race(rng, rates, horizon):
-            d_new = self.next_difficulty(kind)
-            self.weights[kind] += d_new
-            self.state[kind] = [d_new, now, now - self.state[kind][1]]
-            if self.params is not None:
-                rates[kind] = self.rate(kind)
-            if trajectory is not None:
-                trajectory.append((now, self.product))
+def _grow_frozen(setup: AttackSetup, hash_power: float, stake: float,
+                 d_w: float, d_s: float, rng):
+    """One side of a private race at frozen difficulty: its final
+    ``[td_w, td_s]`` and its ``(time, product)`` step after each block."""
+    weights = [setup.td_wc, setup.td_sc]
+    steps = []
+    for now, kind in _race(rng, [hash_power / d_w, stake / d_s], setup.horizon):
+        weights[kind] += (d_w, d_s)[kind]
+        steps.append((now, weights[0] * weights[1]))
+    return weights, steps
 
 
 def _race_difficulties(setup: AttackSetup, t: float) -> Tuple[float, float]:
@@ -214,38 +183,33 @@ def run_private_double_spend(
     config: SimConfig,
     setup: AttackSetup,
     rng_seed: int = 1,
-    live_difficulty: bool = False,
 ) -> AttackOutcome:
     """Race a private attacker fork against the honest chain.
 
-    Both sides start from the fork-point weights with difficulty at the
-    pre-fork equilibrium.  The attacker reveals at the horizon; they win if
-    their chain product strictly exceeds the honest one at that moment.
+    Both sides start from the fork-point weights, with difficulty frozen at
+    the pre-fork equilibrium.  The attacker reveals at the horizon; they win
+    if their chain product strictly exceeds the honest one at that moment.
     ``crossing_time`` additionally reports the first instant of strict
     excess, which an adaptive attacker could have exploited.
     """
     d_w, d_s = _race_difficulties(setup, config.t)
-    params = config.difficulty_params if live_difficulty else None
     oracle = HashOracle(rng_seed)
-
-    attacker = _ChainGrowth(setup.td_wc, setup.td_sc, d_w, d_s,
-                            setup.attacker_hash, setup.attacker_stake, params)
-    honest = _ChainGrowth(setup.td_wc, setup.td_sc, d_w, d_s,
-                          setup.honest_hash, setup.honest_stake, params)
-    att_points, hon_points = [], []
-    attacker.run(setup.horizon, oracle.rng("attacker"), att_points)
-    honest.run(setup.horizon, oracle.rng("honest"), hon_points)
+    (att_w, att_s), att_points = _grow_frozen(setup, setup.attacker_hash, setup.attacker_stake,
+                                              d_w, d_s, oracle.rng("attacker"))
+    (hon_w, hon_s), hon_points = _grow_frozen(setup, setup.honest_hash, setup.honest_stake,
+                                              d_w, d_s, oracle.rng("honest"))
+    attacker, honest = att_w * att_s, hon_w * hon_s
 
     base = setup.td_wc * setup.td_sc
     merged, crossing, max_ratio = _merge_race(att_points, hon_points, base, base)
 
     lhs, feasible = double_spend_feasible(setup)
     return AttackOutcome(
-        attacker_won=attacker.product > honest.product,
+        attacker_won=attacker > honest,
         crossing_time=crossing,
         weight_trajectories=_decimate(merged),
-        final_attacker_product=attacker.product,
-        final_honest_product=honest.product,
+        final_attacker_product=attacker,
+        final_honest_product=honest,
         max_product_ratio=max_ratio,
         meta={
             "attack": "private_double_spend",
@@ -253,7 +217,6 @@ def run_private_double_spend(
             "feasible": feasible,
             "d_w": d_w,
             "d_s": d_s,
-            "live_difficulty": live_difficulty,
             "rng_seed": rng_seed,
         },
     )
@@ -325,8 +288,8 @@ def run_long_range_attack(
     """
     if not 0.0 <= attacker_stake_share <= 1.0:
         raise ValueError("attacker_stake_share must be in [0, 1]")
-    if depth < 0:
-        raise ValueError("depth must be non-negative")
+    if depth < 1:
+        raise ValueError("depth must be at least 1")
     if report is None:
         report = run_sim(config)
     tree = report.tree
@@ -335,23 +298,6 @@ def run_long_range_attack(
         raise ValueError(f"depth {depth} exceeds chain length {len(chain) - 1}")
 
     attacker_stake = attacker_stake_share * config.total_stake
-    if depth == 0:
-        # Forking at the tip is just a private double-spend with stake only.
-        tip_weight = tree.chain_weight(tree.canonical_tip)
-        setup = AttackSetup(
-            attacker_hash=0.0,
-            attacker_stake=max(attacker_stake, 1e-12),
-            honest_hash=config.total_hash,
-            honest_stake=config.total_stake,
-            td_wc=tip_weight.td_w,
-            td_sc=tip_weight.td_s,
-            horizon=config.t_future,
-        )
-        outcome = run_private_double_spend(config, setup, rng_seed=rng_seed)
-        outcome.meta["attack"] = "long_range"
-        outcome.meta["depth"] = 0
-        return outcome
-
     fork_index = len(chain) - 1 - depth
     fork_block = chain[fork_index]
     fork_weight = tree.chain_weight(fork_block.id)
@@ -365,17 +311,14 @@ def run_long_range_attack(
         idx = bisect.bisect_right(honest_ts, min(ts, phi)) - 1
         return honest_products[max(idx, 0)]
 
-    # Difficulty bootstrap: the replay's controller starts from the last two
-    # PoS blocks at or below the fork point, exactly what a verifier expects.
-    pos_history = [b for b in chain[: fork_index + 1] if b.kind is BlockKind.POS]
+    # The replay's controller follows the verifier's rule: its first block
+    # takes the tree's expected difficulty, and each next one steers on the
+    # gap since the previous PoS block, which for the first gap is the last
+    # one at or below the fork.  With none, the next block keeps the default.
     params = config.difficulty_params
-    if len(pos_history) >= 2:
-        gap = pos_history[-1].timestamp - pos_history[-2].timestamp
-        d_next = adjust(pos_history[-1].difficulty, gap, params)
-    elif pos_history:
-        d_next = pos_history[-1].difficulty
-    else:
-        d_next = params.d_genesis_s
+    d_next = tree.expected_difficulty(fork_block.id, BlockKind.POS)
+    last_pos, _ = tree.last_two_of_kind(fork_block.id, BlockKind.POS)
+    last_pos_at = last_pos.timestamp if last_pos is not None else None
 
     rng = HashOracle(rng_seed).rng("lra", depth)
     td_s = fork_weight.td_s
@@ -391,10 +334,10 @@ def run_long_range_attack(
     for at, _ in _race(rng, rates, phi + config.t_future, now):
         td_s += d_next
         forged += 1
-        # The controller steers on the gap between the replay's own blocks.
-        d_next = adjust(d_next, at - now, params)
-        rates[0] = attacker_stake / d_next
-        now = at
+        if last_pos_at is not None:
+            d_next = adjust(d_next, at - last_pos_at, params)
+            rates[0] = attacker_stake / d_next
+        last_pos_at = now = at
         product = td_w * td_s
         ratio = product / final_honest
         if ratio > max_ratio:

@@ -122,7 +122,7 @@ class TreeNode:
     origin: Optional["TreeNode"] = None
 
 
-def make_genesis(oracle: HashOracle, timestamp: float = 0.0) -> Block:
+def make_genesis(oracle: HashOracle) -> Block:
     """The genesis block: seed anchor for round one, base of both weights."""
     from .crypto import genesis_seed
 
@@ -131,7 +131,7 @@ def make_genesis(oracle: HashOracle, timestamp: float = 0.0) -> Block:
         parent_id=None,
         kind=BlockKind.GENESIS,
         difficulty=1.0,
-        timestamp=timestamp,
+        timestamp=0.0,
         height=0,
         producer=None,
         seed=genesis_seed(oracle),

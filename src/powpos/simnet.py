@@ -445,7 +445,6 @@ class _Engine:
         self.latency_rng = self.oracle.rng("latency")
         self.heap: List[tuple] = []
         self._seq = 0
-        self.now = 0.0
         self.produced = 0
 
     def _new_view(self) -> _View:
@@ -576,7 +575,6 @@ class _Engine:
             at = self.heap[0][0]
             draining = at > duration
             at, _seq, tag, payload = heapq.heappop(self.heap)
-            self.now = at
             if tag == "produce":
                 if draining:
                     continue  # production stops at the horizon

@@ -8,10 +8,11 @@ import os
 import random
 import statistics
 import warnings
+from collections import Counter
 
 import pytest
 
-from powpos import attacks
+from powpos import attacks, simnet
 from powpos.attacks import (
     AttackSetup,
     double_spend_feasible,
@@ -26,6 +27,8 @@ from powpos.attacks import (
     selfish_mining_reference_share,
     write_attack_report,
 )
+from powpos.chain import BlockKind, BlockTree, ImportResult
+from powpos.difficulty import AdaptiveRule, FrozenRule, adjust
 from powpos.simnet import baseline_config
 from powpos.slashing import StakerPolicy, run_public_double_spend
 
@@ -170,22 +173,16 @@ def test_private_double_spend_extremes():
 
 
 def test_private_double_spend_regression_pins():
-    # Exact values for one seed, frozen and live difficulty; any drift in the
-    # race kernel or the RNG layout shows up here.
+    # Exact values for one seed; any drift in the race kernel or the RNG
+    # layout shows up here.
     setup = make_setup(attacker_hash=20.0, attacker_stake=200.0,
                        honest_hash=18.0, honest_stake=180.0)
-    pins = {
-        False: (58102272000.0, 40159584000.0, 4.4352),
-        True: (58112926070.23554, 40122429896.13559, 4.448576),
-    }
-    for live, (attacker, honest, ratio) in pins.items():
-        outcome = run_private_double_spend(baseline_config(), setup, rng_seed=11,
-                                           live_difficulty=live)
-        assert outcome.final_attacker_product == pytest.approx(attacker, rel=1e-12)
-        assert outcome.final_honest_product == pytest.approx(honest, rel=1e-12)
-        assert outcome.crossing_time == pytest.approx(6.902330650517997, rel=1e-9)
-        assert outcome.max_product_ratio == pytest.approx(ratio, rel=1e-9)
-        assert outcome.attacker_won
+    outcome = run_private_double_spend(baseline_config(), setup, rng_seed=11)
+    assert outcome.final_attacker_product == pytest.approx(58102272000.0, rel=1e-12)
+    assert outcome.final_honest_product == pytest.approx(40159584000.0, rel=1e-12)
+    assert outcome.crossing_time == pytest.approx(6.902330650517997, rel=1e-9)
+    assert outcome.max_product_ratio == pytest.approx(4.4352, rel=1e-9)
+    assert outcome.attacker_won
 
 
 def test_win_rate_grows_with_power():
@@ -254,10 +251,31 @@ def test_win_rate_zero_honest_product_warns_nothing():
     assert rate == int((counts[:, 0] > 0).sum()) / 50
 
 
-@pytest.mark.parametrize("setup", [
+# Two decisive fork points: one heavy in work, one heavy in stake.
+FORK_POINT_SETUPS = [
     AttackSetup(12.0, 250.0, 30.0, 150.0, td_wc=5000.0, td_sc=2000.0, horizon=400.0),
     AttackSetup(10.0, 300.0, 30.0, 100.0, td_wc=100.0, td_sc=20_000.0, horizon=300.0),
-], ids=["hash-heavy-fork-point", "stake-heavy-fork-point"])
+]
+FORK_POINT_IDS = ["hash-heavy-fork-point", "stake-heavy-fork-point"]
+
+
+def assert_same_race_law(kernel_rate, kernel_counts, wins, counts):
+    """Per-kind block-count means and win rates of two samples of races
+    agree within four two-sample standard errors.  Counts are per race, in
+    the kernel's column order."""
+    n, m = len(kernel_counts), len(counts)
+    for column in range(4):
+        ours = kernel_counts[:, column].tolist()
+        theirs = [row[column] for row in counts]
+        sigma = math.sqrt(statistics.pvariance(ours) / n + statistics.pvariance(theirs) / m)
+        assert abs(statistics.fmean(ours) - statistics.fmean(theirs)) <= 4 * sigma
+    pooled = (kernel_rate * n + wins) / (n + m)
+    sigma = math.sqrt(pooled * (1 - pooled) * (1 / n + 1 / m))
+    assert 0 < pooled < 1
+    assert abs(kernel_rate - wins / m) <= 4 * sigma
+
+
+@pytest.mark.parametrize("setup", FORK_POINT_SETUPS, ids=FORK_POINT_IDS)
 def test_win_rate_matches_the_frozen_event_loop(setup):
     # Per-kind block counts and the win rate of the Poisson-count kernel
     # against the frozen-difficulty event loop, each over 3000 races.
@@ -267,28 +285,72 @@ def test_win_rate_matches_the_frozen_event_loop(setup):
     rng = random.Random(1)
     loop_counts, loop_wins = [], 0
     for _ in range(trials):
-        sides = []
-        for hash_power, stake in ((setup.attacker_hash, setup.attacker_stake),
-                                  (setup.honest_hash, setup.honest_stake)):
-            side = attacks._ChainGrowth(setup.td_wc, setup.td_sc, d_w, d_s,
-                                        hash_power, stake)
-            side.run(setup.horizon, rng)
-            sides.append(side)
-        loop_wins += sides[0].product > sides[1].product
+        sides = [attacks._grow_frozen(setup, hash_power, stake, d_w, d_s, rng)[0]
+                 for hash_power, stake in ((setup.attacker_hash, setup.attacker_stake),
+                                           (setup.honest_hash, setup.honest_stake))]
+        (att_w, att_s), (hon_w, hon_s) = sides
+        loop_wins += att_w * att_s > hon_w * hon_s
         # In the kernel's order: attacker PoW, attacker PoS, honest PoW, honest PoS.
-        loop_counts.append([count for side in sides for count in (
-            round((side.weights[0] - setup.td_wc) / d_w),
-            round((side.weights[1] - setup.td_sc) / d_s))])
+        loop_counts.append([count for td_w, td_s in sides for count in (
+            round((td_w - setup.td_wc) / d_w), round((td_s - setup.td_sc) / d_s))])
     rate, counts = double_spend_win_rate(config, setup, trials=trials, rng_seed=1)
-    for column in range(4):
-        ours = counts[:, column].tolist()
-        theirs = [row[column] for row in loop_counts]
-        sigma = math.sqrt((statistics.pvariance(ours) + statistics.pvariance(theirs)) / trials)
-        assert abs(statistics.fmean(ours) - statistics.fmean(theirs)) <= 4 * sigma
-    pooled = (rate + loop_wins / trials) / 2
-    sigma = math.sqrt(pooled * (1 - pooled) * 2 / trials)
-    assert 0 < pooled < 1
-    assert abs(rate - loop_wins / trials) <= 4 * sigma
+    assert_same_race_law(rate, counts, loop_wins, loop_counts)
+
+
+def grow_on_engine(setup, frozen, seed, hash_power, stake, accounts):
+    """One side of a private race grown by the simulator: one miner and one
+    staker with the side's powers, from the fork point's weights and the
+    pre-fork equilibrium difficulties, to the horizon."""
+    d_w, d_s = attacks._race_difficulties(setup, baseline_config().t)
+    miner, staker = accounts
+    config = baseline_config(duration=setup.horizon, d_genesis_w=d_w, d_genesis_s=d_s,
+                             miners=((miner, hash_power),), stakers=((staker, stake),),
+                             rng_seed=seed)
+    engine = simnet._Engine(config)
+    rule = FrozenRule(d_w, d_s) if frozen else AdaptiveRule(engine.params)
+    # Under perfect latency the observer's tree is the only view, and no pool
+    # holds a reference to it.
+    engine.observer.tree = BlockTree(engine.genesis, rule,
+                                     base_weight=(setup.td_wc, setup.td_sc))
+    engine.run()
+    return engine.observer.tree
+
+
+@pytest.mark.parametrize("frozen", [True, False], ids=["frozen", "live"])
+@pytest.mark.parametrize("setup", FORK_POINT_SETUPS, ids=FORK_POINT_IDS)
+def test_private_race_on_the_engine_matches_the_kernel(setup, frozen):
+    # Each side grows on the simulator's engine.  Both use one seed, so they
+    # share a genesis, and their own accounts, so their miner streams and
+    # keys are independent.  Fork choice on a merged tree decides the race.
+    trials = 400
+    wins, counts = 0, []
+    for seed in range(1, trials + 1):
+        attacker, honest = (
+            grow_on_engine(setup, frozen, seed, hash_power, stake, accounts)
+            for hash_power, stake, accounts in (
+                (setup.attacker_hash, setup.attacker_stake, (10, 0)),
+                (setup.honest_hash, setup.honest_stake, (11, 1))))
+        merged = BlockTree(honest.block(honest.genesis_id), honest.rule,
+                           base_weight=(setup.td_wc, setup.td_sc))
+        row = []
+        for tree in (attacker, honest):
+            kinds = Counter(node.block.kind for node in tree.nodes.values())
+            row += [kinds[BlockKind.POW], kinds[BlockKind.POS]]
+        # The honest branch arrives first, each side in its own arrival order.
+        for tree in (honest, attacker):
+            for node in sorted(tree.nodes.values(), key=lambda n: n.arrival_order)[1:]:
+                assert merged.import_block(node.block) in (
+                    ImportResult.EXTENDED_CANONICAL, ImportResult.SIDE_CHAIN,
+                    ImportResult.REORG)
+        won = merged.canonical_tip == attacker.canonical_tip
+        # An exact tie goes to the first-seen honest branch.
+        att, hon = (tree.chain_weight(tree.canonical_tip) for tree in (attacker, honest))
+        assert won == (att.td_w * att.td_s > hon.td_w * hon.td_s)
+        wins += won
+        counts.append(row)
+    rate, kernel_counts = double_spend_win_rate(baseline_config(), setup, trials=3000,
+                                                rng_seed=1)
+    assert_same_race_law(rate, kernel_counts, wins, counts)
 
 
 # -- long-range replay -----------------------------------------------------
@@ -318,16 +380,6 @@ def test_long_range_replay_never_beats_final_weight(quick_report):
         assert outcome.meta["omega_bound"] > 0
 
 
-def test_long_range_depth_zero_is_a_stake_only_race(quick_report):
-    outcome = run_long_range_attack(
-        quick_report.config, 0, attacker_stake_share=1.0, rng_seed=5,
-        report=quick_report,
-    )
-    assert outcome.meta["attack"] == "long_range"
-    assert outcome.meta["depth"] == 0
-    assert not outcome.attacker_won
-
-
 def test_long_range_regression_pins(quick_report):
     # Exact replays at half depth on the quick chain; the replay's live
     # difficulty controller and horizon cut both show up in these numbers.
@@ -343,12 +395,39 @@ def test_long_range_regression_pins(quick_report):
         assert outcome.max_product_ratio == pytest.approx(ratio, rel=1e-9)
 
 
+def test_long_range_replay_carries_the_verifiers_difficulty(quick_report):
+    # A replay adds no work, so each product step over the fork's td_w is
+    # one block's difficulty.  Where the fork block is PoW, the verifier's
+    # first gap runs from the last PoS block below it, not from the fork.
+    tree = quick_report.tree
+    chain = tree.canonical_chain()
+    params = quick_report.config.difficulty_params
+    replays = 0
+    for depth in range(1, len(chain), 37):
+        fork = chain[-1 - depth]
+        if fork.kind is not BlockKind.POW:
+            continue
+        outcome = run_long_range_attack(quick_report.config, depth, attacker_stake_share=1.0,
+                                        rng_seed=depth, report=quick_report)
+        steps = outcome.weight_trajectories
+        assert len(steps) == outcome.meta["blocks_forged"] + 1  # not decimated
+        td_w = tree.chain_weight(fork.id).td_w
+        expected = tree.expected_difficulty(fork.id, BlockKind.POS)
+        previous_at = tree.last_two_of_kind(fork.id, BlockKind.POS)[0].timestamp
+        for (_, before, _), (at, after, _) in zip(steps, steps[1:]):
+            assert (after - before) / td_w == pytest.approx(expected, rel=1e-6)
+            expected, previous_at = adjust(expected, at - previous_at, params), at
+        replays += 1
+    assert replays > 10
+
+
 def test_long_range_input_validation(quick_report):
     config = quick_report.config
     with pytest.raises(ValueError, match="attacker_stake_share"):
         run_long_range_attack(config, 1, 1.5, report=quick_report)
-    with pytest.raises(ValueError, match="depth"):
-        run_long_range_attack(config, -1, 0.5, report=quick_report)
+    for depth in (-1, 0):
+        with pytest.raises(ValueError, match="depth"):
+            run_long_range_attack(config, depth, 0.5, report=quick_report)
     with pytest.raises(ValueError, match="exceeds chain length"):
         run_long_range_attack(
             config, quick_report.total_blocks + 10, 0.5, report=quick_report

@@ -496,6 +496,23 @@ def test_pos_block_from_reused_slot_equals_recomputed(monkeypatch, name):
     assert len(checked) > 50
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("latency", ["fixed:2", "uniform:0:5", "uniform:0:30"])
+def test_views_converge_after_the_drain(latency, seed):
+    # Every view ends with the observer's blocks and its tip's product.  The
+    # tips themselves may differ: siblings whose products tie exactly go to
+    # whichever each view saw first.
+    engine = simnet._Engine(equilibrium_hour(latency=LatencyModel.parse(latency),
+                                             rng_seed=seed))
+    engine.run()
+    observer = engine.observer.tree
+    product = observer.chain_weight(observer.canonical_tip).product
+    for view in engine.views[1:]:
+        assert view.tree.nodes.keys() == observer.nodes.keys()
+        assert not view.orphans
+        assert view.tree.chain_weight(view.tree.canonical_tip).product == product
+
+
 @pytest.mark.parametrize("latency, stored, side", [
     (LatencyModel.fixed(2.0), 224, 53),
     (LatencyModel.uniform(0.0, 5.0), 271, 71),
