@@ -2,9 +2,13 @@
 
 Covers the private double-spend race (closed form and Monte Carlo), the
 pure-PoS long-range replay, selfish mining with honest stakers in the loop,
-split-stake eligibility invariance, and the scripted future-timestamp
-mining game.  Denial-of-service, eclipse, and censorship scenarios have no
-mechanical content at this layer and are deliberately absent.
+split-stake eligibility invariance, and the future-timestamp mining game.
+Denial-of-service, eclipse, and censorship scenarios have no mechanical
+content at this layer and are deliberately absent.
+
+The future-timestamp game is played on a ``BlockTree`` with blocks built
+by ``forging``: the clock check of import, seed anchors and product fork
+choice decide each of its checks, so a broken rule fails the game.
 
 Monte Carlo helpers model each side of a race as aggregate exponential
 event streams (one per block kind), which is exact for our forging rules:
@@ -29,10 +33,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .chain import BlockKind
+from .chain import BlockKind, BlockTree, ImportResult, make_genesis
 from .crypto import HashOracle
-from .difficulty import adjust
-from .forging import pos_lottery
+from .difficulty import FrozenRule, adjust
+from .forging import (EligibilityError, MinerContext, PosEligibility, StakerContext,
+                      build_pow_block, forge_pos_block, pos_lottery, pos_winner)
 from . import stats
 from .simnet import SimConfig, SimReport, run as run_sim
 
@@ -116,14 +121,6 @@ def _race(rng, rates: List[float], horizon: float, now: float = 0.0):
             return
         now += best
         yield now, winner
-
-
-def _seeded_trials(run_one, trials: int, rng_seed: int):
-    """Run ``run_one(seed)`` on ``trials`` derived seeds; return (win rate, outcomes)."""
-    if trials <= 0:
-        raise ValueError("trials must be positive")
-    outcomes = [run_one(rng_seed * 1_000_003 + i) for i in range(trials)]
-    return sum(1 for o in outcomes if o.attacker_won) / trials, outcomes
 
 
 def _grow_frozen(setup: AttackSetup, hash_power: float, stake: float,
@@ -402,14 +399,12 @@ def _public_race(config: SimConfig, attacker_hash_share: float,
 class SelfishMiningReport:
     attacker_hash_share: float
     revenue_share: float          # attacker share of canonical PoW blocks
-    overall_revenue_share: float  # attacker share of all canonical blocks
     attacker_canonical: int
     honest_canonical_pow: int
     honest_canonical_pos: int
-    withheld_lost: int            # attacker blocks abandoned, total
     pos_interleave_losses: int    # abandoned despite a PoW lead, killed by PoS weight
-    reveals: int
-    abandons: int
+    td_w: float                   # the public chain's final weights
+    td_s: float
     meta: dict = field(default_factory=dict)
 
 
@@ -459,10 +454,7 @@ def run_selfish_mining(
     attacker_canonical = 0
     honest_pow = 0
     honest_pos = 0
-    withheld_lost = 0
     pos_losses = 0
-    reveals = 0
-    abandons = 0
 
     def private_product() -> float:
         return (fork_w + lead * d_w) * fork_s
@@ -482,22 +474,17 @@ def run_selfish_mining(
         # The withheld fork (plus any race-deciding block) replaces the
         # public branch built since the fork point.
         nonlocal pub_w, pub_s, attacker_canonical, honest_pow, honest_pos
-        nonlocal reveals
         attacker_canonical += lead + extra_pow
         honest_pow -= behind_pow
         honest_pos -= behind_pos
         pub_w = fork_w + (lead + extra_pow) * d_w
         pub_s = fork_s
-        reveals += 1
         reset_fork()
 
     def abandon() -> None:
-        nonlocal withheld_lost, pos_losses, abandons
-        if lead > 0:
-            withheld_lost += lead
-            if lead >= behind_pow:
-                pos_losses += lead
-            abandons += 1
+        nonlocal pos_losses
+        if lead > 0 and lead >= behind_pow:
+            pos_losses += lead
         reset_fork()
 
     for _, stream in _race(rng, rates, horizon):
@@ -507,9 +494,10 @@ def run_selfish_mining(
                 reveal(extra_pow=1)
             elif stream == HONEST and rng.random() < gamma:
                 # An honest miner decides the race on the attacker's branch.
-                honest_pow += 1
-                pub_w += d_w
                 reveal()
+                pub_w += d_w
+                honest_pow += 1
+                reset_fork()
             elif stream == HONEST:
                 # The public branch pulls ahead; the fork is dead.
                 pub_w += d_w
@@ -554,18 +542,15 @@ def run_selfish_mining(
             abandon()
 
     total_pow = attacker_canonical + honest_pow
-    total_all = total_pow + honest_pos
     return SelfishMiningReport(
         attacker_hash_share=attacker_hash_share,
         revenue_share=attacker_canonical / total_pow if total_pow else 0.0,
-        overall_revenue_share=attacker_canonical / total_all if total_all else 0.0,
         attacker_canonical=attacker_canonical,
         honest_canonical_pow=honest_pow,
         honest_canonical_pos=honest_pos,
-        withheld_lost=withheld_lost,
         pos_interleave_losses=pos_losses,
-        reveals=reveals,
-        abandons=abandons,
+        td_w=pub_w,
+        td_s=pub_s,
         meta={
             "attack": "selfish_mining",
             "duration": horizon,
@@ -702,93 +687,108 @@ class FutureMiningTranscript:
 
 
 def run_future_mining_game(config: SimConfig, rng_seed: int = 1) -> FutureMiningTranscript:
-    """Script the early-published-future-block game and audit the weights.
+    """Play the early-published-future-block game on block trees.
 
     Four players: staker Alice publishes her block at its forced timestamp
     t_a; staker Bob publishes his at time zero carrying future timestamp
     t_b; miners Charlie (ignores future blocks) and David (mines on
-    anything) split the hash power evenly.  Timestamps t_a and t_b come
-    from the real seed-chain lottery; the miners' common solve time t_x is
-    placed before both, as the game requires.
+    anything) split the hash power evenly.  Timestamps t_a and t_b are the
+    stakers' slots on the genesis seed; the miners' common solve time t_x
+    is placed before both, as the game requires.  The network is one tree
+    at frozen difficulty; Charlie's clock check is an import into a replica.
     """
     oracle = HashOracle(rng_seed)
-    t = config.t
     t_future = config.t_future
-    stake_each = 100.0
-    hash_each = 1.0
-    d_s = 2 * stake_each * 2.0 * t
-    d_w = 2 * hash_each * 2.0 * t
+    stake_each, hash_each = 100.0, 1.0
+    d_s = 2 * stake_each * 2.0 * config.t
+    d_w = 2 * hash_each * 2.0 * config.t
+    genesis = replace(make_genesis(oracle), seed=oracle.hash("game-seed"))
+    tree = BlockTree(genesis, FrozenRule(d_w, d_s))
 
-    genesis_seed = oracle.hash("game-seed")
-
-    def delay_for(account: int) -> float:
-        return pos_lottery(oracle, genesis_seed, d_s, [(oracle.keypair(account), stake_each)])[0][1]
+    def staker(account: int) -> Tuple[StakerContext, PosEligibility]:
+        key = oracle.keypair(account)
+        _, slot = pos_winner(oracle, genesis, d_s, [(key, stake_each)])
+        return StakerContext(account, key), slot
 
     # The game needs t_x < min(t_a, t_b) and Bob's timestamp still in the
     # future (beyond the tolerance) when Charlie picks a parent at t_x.
-    # Scan Bob's account index until the sampled delays line up.
-    alice_account = 1
-    t_a = delay_for(alice_account)
+    # Scan Bob's account index until the slots line up.
+    alice, alice_slot = staker(1)
+    t_a = alice_slot.eligible_at
     bob_account = 2
     while True:
-        t_b = delay_for(bob_account)
+        bob, bob_slot = staker(bob_account)
+        t_b = bob_slot.eligible_at
         t_x = 0.5 * min(t_a, t_b)
         if t_b > t_x + t_future and abs(t_a - t_b) > 1e-9:
             break
         bob_account += 1
+    charlie = MinerContext(bob_account + 1, hash_each)
+    david = MinerContext(bob_account + 2, hash_each)
 
-    base_w, base_s = 1.0, 1.0  # genesis chain weight
     events: List[str] = []
-    terms: Dict[str, float] = {"W(B_0)": base_w * base_s, "d_w": d_w, "d_s": d_s}
+    terms: Dict[str, float] = {"W(B_0)": tree.chain_weight(genesis.id).product,
+                               "d_w": d_w, "d_s": d_s}
     checks: Dict[str, bool] = {}
 
+    # Bob forges without waiting for his slot; at t_x it is still beyond
+    # Charlie's tolerance, while David's view takes it.
+    b_s1b = forge_pos_block(oracle, tree, genesis.id, bob, bob_slot)
+    checks["charlie_rejects_future_block"] = (
+        tree.replica().import_block(b_s1b, t_x, t_future) is ImportResult.REJECTED_FUTURE)
+    tree.import_block(b_s1b)
     events.append(
         f"t=0: Bob publishes PoS block B_s1b early, forced timestamp {t_b:.3f}; "
         f"Charlie keeps mining on B_0 (timestamp {t_b:.3f} is future to him), "
         "David switches to B_s1b"
     )
+
+    b_w1c = build_pow_block(oracle, tree, genesis.id, charlie, 0.0)
+    b_w1d = build_pow_block(oracle, tree, b_s1b.id, david, t_b + 1.0)
+    tree.import_block(b_w1c)
+    tree.import_block(b_w1d)
     events.append(
         f"t={t_x:.3f}: both miners solve; Charlie's B_w1c extends B_0 "
         f"(stamped 0.0), David's B_w1d extends B_s1b (stamped {t_b + 1.0:.3f})"
     )
 
-    # Chain products right after the double solve.
-    chain_c = (base_w + d_w) * base_s                 # B_0 + B_w1c
-    chain_d = (base_w + d_w) * (base_s + d_s)         # B_0 + B_s1b + B_w1d
-    terms["W(chain_c)@t_x"] = chain_c
-    terms["W(chain_d)@t_x"] = chain_d
-    # The additive accounting from the narrative: d beats c by exactly the
-    # stake weight Bob contributed (the PoW terms cancel).
-    additive_gap = (d_s + d_w) - d_w
+    # Chain weights right after the double solve.  Additively, d beats c by
+    # exactly the stake weight Bob contributed (the PoW terms cancel).
+    chain_c, chain_d = tree.chain_weight(b_w1c.id), tree.chain_weight(b_w1d.id)
+    terms["W(chain_c)@t_x"] = chain_c.product
+    terms["W(chain_d)@t_x"] = chain_d.product
+    additive_gap = (chain_d.td_w + chain_d.td_s) - (chain_c.td_w + chain_c.td_s)
     terms["additive_gap@t_x"] = additive_gap
-    checks["chain_d_heavier_at_t_x"] = chain_d > chain_c
+    checks["chain_d_heavier_at_t_x"] = tree.canonical_tip == b_w1d.id
     checks["gap_is_bobs_stake_weight"] = math.isclose(additive_gap, d_s)
     events.append(
-        f"t={t_x:.3f}: W(chain_d)={chain_d:.1f} > W(chain_c)={chain_c:.1f}; "
+        f"t={t_x:.3f}: W(chain_d)={chain_d.product:.1f} > W(chain_c)={chain_c.product:.1f}; "
         "Charlie stays on his own branch"
     )
 
-    # Alice's block can only anchor to the seed she signed: her delay came
-    # from the genesis-era seed, and on David's branch that slot is already
-    # taken by B_s1b's conflicting seed.  So B_s1a attaches under B_w1c.
-    alice_key = oracle.keypair(alice_account)
-    signed_on_genesis = oracle.sign_seed(genesis_seed, alice_key.sk)
-    bob_seed = oracle.sign_seed(genesis_seed, oracle.keypair(bob_account).sk)
-    signed_on_bob = oracle.sign_seed(bob_seed, alice_key.sk)
-    checks["seed_conflict_blocks_reparent"] = signed_on_genesis != signed_on_bob
+    # Alice's slot was drawn on the genesis seed, which B_s1b's seed
+    # supersedes on David's branch, so only B_w1c can carry her block.
+    try:
+        forge_pos_block(oracle, tree, b_w1d.id, alice, alice_slot, now=t_a)
+        checks["seed_conflict_blocks_reparent"] = False
+    except EligibilityError:
+        checks["seed_conflict_blocks_reparent"] = True
+    b_s1a = forge_pos_block(oracle, tree, b_w1c.id, alice, alice_slot, now=t_a)
+    checks["alice_block_counted_at_t_a"] = tree.import_block(b_s1a, t_a, t_future) in (
+        ImportResult.EXTENDED_CANONICAL, ImportResult.SIDE_CHAIN, ImportResult.REORG)
     events.append(
         f"t={t_a:.3f}: Alice publishes B_s1a (timestamp {t_a:.3f}) on B_w1c; "
         "it cannot reference B_w1d because its seed conflicts with B_s1b"
     )
 
-    chain_c_after = (base_w + d_w) * (base_s + d_s)   # + B_s1a
+    chain_c_after = tree.chain_weight(b_s1a.id).product
     terms["W(chain_c)@t_a"] = chain_c_after
-    terms["W(chain_d)@t_a"] = chain_d
-    checks["alice_block_counted_at_t_a"] = chain_c_after > chain_c
-    checks["parity_at_t_a"] = math.isclose(chain_c_after, chain_d)
+    terms["W(chain_d)@t_a"] = chain_d.product
+    checks["parity_at_t_a"] = (chain_c_after == chain_d.product
+                               and tree.canonical_tip == b_w1d.id)
     events.append(
         f"t={t_a:.3f}: W(chain_c)={chain_c_after:.1f} equals "
-        f"W(chain_d)={chain_d:.1f}; the early publication bought nothing"
+        f"W(chain_d)={chain_d.product:.1f}; the early publication bought nothing"
     )
 
     return FutureMiningTranscript(

@@ -193,9 +193,10 @@ def _run_attack(args) -> int:
         payload.update(asdict(transcript))
         for line in transcript.events:
             print(line)
-        status = "pass" if transcript.all_checks_pass else "FAIL"
+        failing = [check for check, ok in transcript.checks.items() if not ok]
+        status = f"FAIL, failing: {failing}" if failing else "pass"
         print(f"future-mining checks: {status}")
-        if not transcript.all_checks_pass:
+        if failing:
             return EXIT_CHECK_FAILED
     else:  # public-double-spend; argparse admits only ATTACK_NAMES
         trials = args.trials or 50

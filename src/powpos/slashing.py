@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .attacks import ATTACKER, HONEST, _public_race, _race, _seeded_trials
+from .attacks import ATTACKER, HONEST, _public_race, _race
 from .crypto import HashOracle
 from .simnet import SimConfig
 
@@ -232,9 +232,9 @@ def run_public_double_spend(
     * FOLLOW_HASH_POWER: stakers extend whichever branch shows more
       accumulated PoW weight, switching allegiance mid-race.
 
-    When ``dunkle_n`` is given the outcome includes the settlement stakers
-    would face, attributing one PoS block per forge to the configured
-    stakers round-robin by stake share.
+    When ``dunkle_n`` is given the outcome includes the ``dunkle_settlement``
+    stakers would face, attributing one PoS block per forge to the
+    configured stakers round-robin by stake share.
     """
     if not 0.0 <= attacker_hash_share <= 1.0:
         raise ValueError("attacker_hash_share must be in [0, 1]")
@@ -245,14 +245,14 @@ def run_public_double_spend(
     att_w = hon_w = 1.0
     att_s = hon_s = 1.0
     att_pow = hon_pow = 0
-    pos_att = pos_hon = 0
     crossing = None
 
-    # Round-robin staker attribution weighted by stake, for settlement.
-    stakers = itertools.cycle([account for account, amount in config.stakers
-                               for _ in range(max(1, round(amount)))])
-    forges_att: Dict[int, int] = {}
-    forges_hon: Dict[int, int] = {}
+    # Round-robin staker attribution weighted by stake: each forge is one
+    # PoS row on the branch it extends, for settlement.
+    stakers = itertools.cycle([row for account, amount in config.stakers for row in
+                               [{"kind": POS, "producer": account}] * max(1, round(amount))])
+    rows_att: List[dict] = []
+    rows_hon: List[dict] = []
     both = staker_policy is StakerPolicy.SUPPORT_BOTH
     follow = staker_policy is StakerPolicy.FOLLOW_HASH_POWER  # else HONEST_ONLY
 
@@ -264,31 +264,22 @@ def run_public_double_spend(
             hon_w += d_w
             hon_pow += 1
         else:  # the stakers' stream fires only with stake configured
-            account = next(stakers)
+            row = next(stakers)
             on_attacker = both or (follow and att_w > hon_w)
             if on_attacker:
                 att_s += d_s
-                pos_att += 1
-                forges_att[account] = forges_att.get(account, 0) + 1
+                rows_att.append(row)
             if not (follow and on_attacker):  # a follower backs one branch only
                 hon_s += d_s
-                pos_hon += 1
-                forges_hon[account] = forges_hon.get(account, 0) + 1
+                rows_hon.append(row)
         if crossing is None and att_w * att_s > hon_w * hon_s:
             crossing = now
 
     attacker_won = att_w * att_s > hon_w * hon_s
     net = None
     if dunkle_n is not None and config.total_stake > 0:
-        # Winners earn R per block on the surviving branch and pay n*R per
-        # block signed on the losing one.
-        reward = config.block_reward
-        winner, loser = (forges_att, forges_hon) if attacker_won else (forges_hon, forges_att)
-        net = {}
-        for account, count in winner.items():
-            net[account] = net.get(account, 0.0) + reward * count
-        for account, count in loser.items():
-            net[account] = net.get(account, 0.0) - dunkle_n * reward * count
+        won, lost = (rows_att, rows_hon) if attacker_won else (rows_hon, rows_att)
+        net = dunkle_settlement(won, lost, config.block_reward, dunkle_n)
     return PublicDoubleSpendOutcome(
         attacker_won=attacker_won,
         crossing_time=crossing,
@@ -296,8 +287,8 @@ def run_public_double_spend(
         final_honest_product=hon_w * hon_s,
         attacker_pow=att_pow,
         honest_pow=hon_pow,
-        pos_on_attacker=pos_att,
-        pos_on_honest=pos_hon,
+        pos_on_attacker=len(rows_att),
+        pos_on_honest=len(rows_hon),
         policy=staker_policy,
         dunkle_net=net,
         meta={
@@ -318,12 +309,12 @@ def public_double_spend_win_rate(
     rng_seed: int = 1,
     duration: Optional[float] = None,
 ) -> Tuple[float, List[PublicDoubleSpendOutcome]]:
-    return _seeded_trials(
-        lambda seed: run_public_double_spend(
-            config, staker_policy, attacker_hash_share, rng_seed=seed, duration=duration,
-        ),
-        trials, rng_seed,
-    )
+    if trials <= 0:
+        raise ValueError("trials must be positive")
+    outcomes = [run_public_double_spend(config, staker_policy, attacker_hash_share,
+                                        rng_seed=rng_seed * 1_000_003 + i, duration=duration)
+                for i in range(trials)]
+    return sum(1 for o in outcomes if o.attacker_won) / trials, outcomes
 
 
 # ---------------------------------------------------------------------------

@@ -466,6 +466,17 @@ def test_stakerless_control_with_sympathetic_hashrate():
     assert report.revenue_share == pytest.approx(expected, abs=0.04)
 
 
+@pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0])
+def test_selfish_mining_public_weights_hold_the_canonical_blocks(gamma):
+    # A race that an honest miner settles on the attacker's branch must keep
+    # that honest block's weight in the public chain.
+    config = baseline_config()
+    d_w, d_s = config.equilibrium_difficulties
+    report = run_selfish_mining(config, 0.35, rng_seed=3, duration=200_000.0, gamma=gamma)
+    assert report.td_w == 1 + (report.attacker_canonical + report.honest_canonical_pow) * d_w
+    assert report.td_s == 1 + report.honest_canonical_pos * d_s
+
+
 def test_selfish_mining_regression_pins():
     # Exact values for two shares on a fixed seed; any drift in the event
     # loop or RNG layout shows up here first.
@@ -557,6 +568,19 @@ def test_future_mining_game_weights_balance():
     assert terms["W(chain_c)@t_a"] == pytest.approx(terms["W(chain_d)@t_a"])
     assert terms["additive_gap@t_x"] == pytest.approx(terms["d_s"])
     assert transcript.checks["seed_conflict_blocks_reparent"]
+
+
+@pytest.mark.parametrize("attr, mutant, target", [
+    ("import_block", lambda import_block: lambda tree, block, *clock: import_block(tree, block),
+     "charlie_rejects_future_block"),
+    ("seed_anchor", lambda _: lambda tree, block_id: tree.block(tree.genesis_id),
+     "seed_conflict_blocks_reparent"),
+], ids=["import-ignores-clock", "seed-anchor-is-genesis"])
+def test_future_mining_game_fails_under_a_broken_rule(monkeypatch, attr, mutant, target):
+    monkeypatch.setattr(BlockTree, attr, mutant(getattr(BlockTree, attr)))
+    transcript = run_future_mining_game(baseline_config())
+    assert not transcript.all_checks_pass
+    assert [name for name, ok in transcript.checks.items() if not ok] == [target]
 
 
 # -- reporting -------------------------------------------------------------

@@ -6,6 +6,7 @@ import os
 import pytest
 
 from powpos import cli, criteria, simnet, stats
+from powpos.chain import BlockTree
 
 
 SMALL_CFG = """
@@ -236,6 +237,16 @@ def test_attack_future_mining_passes(capsys):
     out = capsys.readouterr().out
     assert "future-mining checks: pass" in out
     assert "Bob publishes PoS block" in out
+
+
+def test_attack_future_mining_names_failing_checks(capsys, monkeypatch):
+    # An import that ignores the clock lets Charlie take Bob's early block.
+    import_block = BlockTree.import_block
+    monkeypatch.setattr(BlockTree, "import_block",
+                        lambda tree, block, *clock: import_block(tree, block))
+    assert cli.main(["attack", "future-mining"]) == cli.EXIT_CHECK_FAILED
+    out = capsys.readouterr().out
+    assert "future-mining checks: FAIL, failing: ['charlie_rejects_future_block']" in out
 
 
 def test_attack_selfish_matches_pinned_numbers(capsys):

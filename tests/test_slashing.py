@@ -257,6 +257,10 @@ def test_public_double_spend_validation():
         run_public_double_spend(config, StakerPolicy.HONEST_ONLY, 1.2)
     with pytest.raises(ValueError, match="miners"):
         run_public_double_spend(baseline_config(miners=()), StakerPolicy.HONEST_ONLY)
+    for dunkle_n in (0.0, -1.0):
+        with pytest.raises(ValueError, match="penalty multiple n must be positive"):
+            run_public_double_spend(config, StakerPolicy.HONEST_ONLY, duration=1_000.0,
+                                    dunkle_n=dunkle_n)
 
 
 # -- serialization ---------------------------------------------------------
