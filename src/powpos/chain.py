@@ -28,16 +28,17 @@ full scan over all tips that is also the reference the tests compare with.
 A node's ancestry never changes after insertion, so the expected difficulty
 of each kind of child is computed once per node and memoised on it.
 
-Lineage is shared between views.  Each participant of a simulated network
-keeps its own tree, made with :meth:`BlockTree.replica` from one origin tree.  A block's
-weight pair, same-kind anchors and expected-difficulty memos depend only on
-its ancestry, so when a replica imports the very block object the origin
-holds, onto a parent it already shares, its node takes the origin node's
-weight and anchors and reads and fills the origin node's memos.  Blocks the
-origin does not hold get their lineage computed by the replica itself.
-Membership, arrival order, tips, the canonical tip and the clock check stay
+Lineage nodes are shared between views.  Each participant of a simulated
+network keeps its own tree, made with :meth:`BlockTree.replica` from one
+origin tree.  A node's weight pair, same-kind anchors and expected-difficulty
+memos depend only on its ancestry, so when a replica imports the very block
+object the origin holds, onto the origin's own node for its parent, it stores
+the origin's node itself.  Blocks the origin does not hold yet get a node the
+replica builds.  Membership, tips, the canonical tip and the clock check stay
 per view, and a replica's import runs every validity check; the memo only
-answers the difficulty check sooner.
+answers the difficulty check sooner.  Each view's dicts are its arrival
+order: a block enters ``nodes`` and ``tips`` once, when it arrives, so
+first-seen tie-breaks and dump order come from insertion order alone.
 """
 
 from __future__ import annotations
@@ -109,6 +110,8 @@ class ImportResult(Enum):
 class TreeNode:
     block: Block
     weight: WeightPair
+    # Arrival in the tree that built the node.  Nothing here reads it: each
+    # view's tie-breaks come from its own dict order.
     arrival_order: int
     # Nearest same-kind block at or above this node's parent, by id.
     # None when no such ancestor exists (genesis matches neither kind).
@@ -117,9 +120,6 @@ class TreeNode:
     # Expected difficulty of a PoW / PoS child, filled on first use.
     pow_expected: Optional[float] = None
     pos_expected: Optional[float] = None
-    # In a replica: the origin tree's node for the same block and ancestry,
-    # which holds the memos for both.  None where this node holds its own.
-    origin: Optional["TreeNode"] = None
 
 
 def make_genesis(oracle: HashOracle) -> Block:
@@ -155,21 +155,20 @@ class BlockTree:
             weight=WeightPair(*base_weight),
             arrival_order=0,
         )
+        # Both in arrival order: an id enters each once, when it arrives.
         self.nodes: Dict[int, TreeNode] = {genesis.id: root}
-        # Insertion-ordered for deterministic fork choice iteration.
         self.tips: Dict[int, None] = {genesis.id: None}
         self.canonical_tip: int = genesis.id
-        self._arrivals = 0
         # The origin tree's nodes: this tree's own unless it is a replica.
         self._origin: Dict[int, TreeNode] = self.nodes
 
     def replica(self) -> "BlockTree":
         """An empty view with this tree's genesis, rule and base weight that
-        shares the lineage of every block it imports from this tree."""
+        holds the origin's node of every block it imports from the origin."""
         root = self.nodes[self.genesis_id]
         tree = BlockTree(root.block, self.rule, (root.weight.td_w, root.weight.td_s))
         tree._origin = self._origin
-        tree.nodes[self.genesis_id].origin = root.origin or root
+        tree.nodes[self.genesis_id] = root
         return tree
 
     # -- queries ---------------------------------------------------------
@@ -225,11 +224,10 @@ class BlockTree:
     def expected_difficulty(self, parent_id: int, kind: BlockKind) -> float:
         """The difficulty a ``kind`` child of ``parent_id`` must carry.
 
-        Memoised per node, on the origin's node where a replica shares it;
-        the rule must be a pure function of ancestry.
+        Memoised per node, which views may share; the rule must be a pure
+        function of ancestry.
         """
         node = self.nodes[parent_id]
-        node = node.origin or node
         if kind is BlockKind.POW:
             if node.pow_expected is None:
                 node.pow_expected = self.rule.expected(self, parent_id, kind)
@@ -243,21 +241,9 @@ class BlockTree:
 
         A full scan of the tips: ``import_block`` keeps ``canonical_tip``
         equal to it incrementally and calls it only when it cannot decide.
+        ``tips`` is in arrival order and ``max`` keeps the first of equal keys.
         """
-        best_id = None
-        best_product = -math.inf
-        best_arrival = math.inf
-        for tip_id in self.tips:
-            node = self.nodes[tip_id]
-            product = node.weight.product
-            if product > best_product or (
-                product == best_product and node.arrival_order < best_arrival
-            ):
-                best_id = tip_id
-                best_product = product
-                best_arrival = node.arrival_order
-        assert best_id is not None
-        return best_id
+        return max(self.tips, key=lambda tip_id: self.nodes[tip_id].weight.product)
 
     # -- import ----------------------------------------------------------
 
@@ -286,24 +272,14 @@ class BlockTree:
             # Too far ahead of this node's clock; not stored, may come back.
             return ImportResult.REJECTED_FUTURE
 
-        self._arrivals += 1
-        # Share the origin's node only for the same block object on a shared
-        # parent: then the whole ancestry is the origin's too.
-        shared = self._origin.get(block.id) if parent.origin is not None else None
-        if shared is not None and shared.block is block:
-            node = TreeNode(
-                block=block,
-                weight=shared.weight,
-                arrival_order=self._arrivals,
-                pow_anchor=shared.pow_anchor,
-                pos_anchor=shared.pos_anchor,
-                origin=shared,
-            )
-        else:
+        # Store the origin's node only for the same block object on the
+        # origin's parent node: then the whole ancestry is the origin's too.
+        node = self._origin.get(block.id)
+        if node is None or node.block is not block or self._origin[block.parent_id] is not parent:
             node = TreeNode(
                 block=block,
                 weight=parent.weight.child(block.kind, block.difficulty),
-                arrival_order=self._arrivals,
+                arrival_order=len(self.nodes),
                 pow_anchor=self._anchor(block.parent_id, BlockKind.POW),
                 pos_anchor=self._anchor(block.parent_id, BlockKind.POS),
             )
@@ -342,8 +318,7 @@ class BlockTree:
 
     def dump_rows(self) -> Iterator[dict]:
         """One plain dict per block, in arrival order, genesis first."""
-        ordered = sorted(self.nodes.values(), key=lambda n: n.arrival_order)
-        for node in ordered:
+        for node in self.nodes.values():
             b = node.block
             yield {
                 "id": format(b.id, "064x"),

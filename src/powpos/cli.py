@@ -119,7 +119,7 @@ def _run_attack(args) -> int:
     seed = args.seed if args.seed is not None else 1
     name = args.name
     payload: dict = {"attack": name, "rng_seed": seed}
-    trajectories = None
+    trajectories, failing = None, []
 
     if name == "double-spend":
         trials = args.trials or 200
@@ -196,8 +196,6 @@ def _run_attack(args) -> int:
         failing = [check for check, ok in transcript.checks.items() if not ok]
         status = f"FAIL, failing: {failing}" if failing else "pass"
         print(f"future-mining checks: {status}")
-        if failing:
-            return EXIT_CHECK_FAILED
     else:  # public-double-spend; argparse admits only ATTACK_NAMES
         trials = args.trials or 50
         results, intervals = {}, {}
@@ -222,7 +220,7 @@ def _run_attack(args) -> int:
         except (OSError, FileExistsError) as exc:
             print(f"artifact error: {exc}", file=sys.stderr)
             return EXIT_IO
-    return EXIT_OK
+    return EXIT_CHECK_FAILED if failing else EXIT_OK
 
 
 # ---------------------------------------------------------------------------

@@ -30,11 +30,12 @@ twenty seconds.
 
 Under a latency model the replicas are made with ``BlockTree.replica`` from
 the observer's tree, and the observer imports every block first, so each
-block's weight, anchors and expected difficulties are computed once for all
-views.  Delivery takes one event per arrival instant, carrying every view
-that receives the block then: one event per block under ``fixed:``, one per
-replica under ``uniform:``.  A block still costs one validated import per
-replica, and the cost per stored block does not grow with the horizon.
+block's node (weight, anchors and expected-difficulty memos) is stored once
+and every replica holds the observer's node.  Delivery takes one event per
+arrival instant, carrying every view that receives the block then: one event
+per block under ``fixed:``, one per replica under ``uniform:``.  A block
+still costs one validated import per replica, and the cost per stored block
+does not grow with the horizon.
 
 Reports and ``powpos stats`` summarise a canonical chain through
 ``canonical_series`` and ``interarrival_summary``, so they agree; ``criteria``

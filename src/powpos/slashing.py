@@ -129,24 +129,17 @@ def detect_all(rows: Sequence[dict]) -> List[Evidence]:
 def split_canonical(rows: Sequence[dict]) -> Tuple[List[dict], List[dict]]:
     """Partition a dump into (canonical chain rows, side rows).
 
-    The canonical tip is the heaviest-product block, earliest arrival
-    breaking ties; rows are assumed to be in arrival order, as dumps are.
-    This is the fork choice of a dump, which has no tree; an in-process run
-    asks its tree instead.
+    The canonical tip is the first leaf of maximal product, the tree's own
+    rule: rows are assumed to be in arrival order, as dumps are.  This is
+    the fork choice of a dump, which has no tree; an in-process run asks its
+    tree instead.
     """
     if not rows:
         return [], []
     by_id = {row["id"]: row for row in rows}
     children = set(row["parent"] for row in rows if row["parent"] is not None)
-    tip = None
-    tip_product = -math.inf
-    for row in rows:  # arrival order makes the tie-break first-seen
-        if row["id"] in children:
-            continue
-        product = row["td_w"] * row["td_s"]
-        if product > tip_product:
-            tip_product = product
-            tip = row
+    tip = max((row for row in rows if row["id"] not in children),
+              key=lambda row: row["td_w"] * row["td_s"])
     canonical_ids = set()
     cursor = tip
     while cursor is not None:

@@ -338,7 +338,7 @@ def test_private_race_on_the_engine_matches_the_kernel(setup, frozen):
             row += [kinds[BlockKind.POW], kinds[BlockKind.POS]]
         # The honest branch arrives first, each side in its own arrival order.
         for tree in (honest, attacker):
-            for node in sorted(tree.nodes.values(), key=lambda n: n.arrival_order)[1:]:
+            for node in list(tree.nodes.values())[1:]:
                 assert merged.import_block(node.block) in (
                     ImportResult.EXTENDED_CANONICAL, ImportResult.SIDE_CHAIN,
                     ImportResult.REORG)

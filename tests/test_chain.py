@@ -136,6 +136,21 @@ def test_fork_choice_tie_prefers_first_seen():
     assert tree.canonical_tip == b.id  # b arrived first
 
 
+def test_shared_nodes_keep_each_views_first_seen_tie_break():
+    oracle, origin = fresh_tree()
+    replica = origin.replica()
+    root = origin.canonical_tip
+    a = mine(oracle, origin, root, at=10.0, account=1)
+    b = mine(oracle, origin, root, at=10.0, account=2)
+    for tree, first, second in ((origin, a, b), (replica, b, a)):
+        tree.import_block(first, 10.0, 10.0)
+        assert tree.import_block(second, 10.0, 10.0) is ImportResult.SIDE_CHAIN
+        assert tree.canonical_tip == tree.fork_choice() == first.id
+        assert [row["producer"] for row in tree.dump_rows()] == [
+            None, first.producer, second.producer]
+    assert replica.node(a.id) is origin.node(a.id)
+
+
 def test_absorbed_child_of_tip_defers_to_earliest_tie():
     # A 1e-9 difficulty vanishes against a 1e10 weight, so every product is
     # equal and the earliest-arrived tip must win, not the tip's new child.
@@ -237,14 +252,14 @@ def test_replica_computes_lineage_the_origin_lacks():
     origin.import_block(a2)
     for blk in (a1, a2):
         assert replica.import_block(blk) is ImportResult.EXTENDED_CANONICAL
-        assert replica.node(blk.id).origin is origin.node(blk.id)
+        assert replica.node(blk.id) is origin.node(blk.id)
 
     # b reaches the replica only; its difficulty is retargeted from a1 and a2.
     b = mine(oracle, replica, a2.id, at=40.0, account=2)
     assert b.difficulty != 1.0
     assert replica.import_block(replace(b, difficulty=1.0)) is ImportResult.INVALID
     assert replica.import_block(b) is ImportResult.EXTENDED_CANONICAL
-    assert b.id not in origin and replica.node(b.id).origin is None
+    assert b.id not in origin
     s = forge(oracle, replica, b.id, account=30)
     assert replica.import_block(s) is ImportResult.EXTENDED_CANONICAL
     assert replica.canonical_tip == s.id == replica.fork_choice()
@@ -259,7 +274,8 @@ def test_replica_computes_lineage_the_origin_lacks():
     c = mine(oracle, replica, s.id, at=55.0, account=3)
     origin.import_block(c)
     assert replica.import_block(c) is ImportResult.EXTENDED_CANONICAL
-    assert replica.node(c.id).origin is None
+    for blk in (b, c):
+        assert replica.node(blk.id) is not origin.node(blk.id)
     for tree in (origin, replica):
         for node_id in tree.nodes:
             for kind in (BlockKind.POW, BlockKind.POS):

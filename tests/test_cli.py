@@ -239,14 +239,19 @@ def test_attack_future_mining_passes(capsys):
     assert "Bob publishes PoS block" in out
 
 
-def test_attack_future_mining_names_failing_checks(capsys, monkeypatch):
+def test_attack_future_mining_names_failing_checks(tmp_path, capsys, monkeypatch):
     # An import that ignores the clock lets Charlie take Bob's early block.
+    # The failing game still leaves its report for inspection.
     import_block = BlockTree.import_block
     monkeypatch.setattr(BlockTree, "import_block",
                         lambda tree, block, *clock: import_block(tree, block))
-    assert cli.main(["attack", "future-mining"]) == cli.EXIT_CHECK_FAILED
+    outdir = str(tmp_path / "attack")
+    assert cli.main(["attack", "future-mining", "--out", outdir]) == cli.EXIT_CHECK_FAILED
     out = capsys.readouterr().out
     assert "future-mining checks: FAIL, failing: ['charlie_rejects_future_block']" in out
+    with open(os.path.join(outdir, "attack_report.json"), encoding="utf-8") as fh:
+        payload = json.load(fh)
+    assert payload["checks"]["charlie_rejects_future_block"] is False
 
 
 def test_attack_selfish_matches_pinned_numbers(capsys):

@@ -501,7 +501,8 @@ def test_pos_block_from_reused_slot_equals_recomputed(monkeypatch, name):
 def test_views_converge_after_the_drain(latency, seed):
     # Every view ends with the observer's blocks and its tip's product.  The
     # tips themselves may differ: siblings whose products tie exactly go to
-    # whichever each view saw first.
+    # whichever each view saw first.  The observer imports every block first,
+    # so every view holds the observer's node for each block.
     engine = simnet._Engine(equilibrium_hour(latency=LatencyModel.parse(latency),
                                              rng_seed=seed))
     engine.run()
@@ -509,6 +510,7 @@ def test_views_converge_after_the_drain(latency, seed):
     product = observer.chain_weight(observer.canonical_tip).product
     for view in engine.views[1:]:
         assert view.tree.nodes.keys() == observer.nodes.keys()
+        assert all(node is observer.nodes[i] for i, node in view.tree.nodes.items())
         assert not view.orphans
         assert view.tree.chain_weight(view.tree.canonical_tip).product == product
 
