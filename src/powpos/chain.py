@@ -106,6 +106,12 @@ class ImportResult(Enum):
     DUPLICATE = "duplicate"
 
 
+# Hot paths name enum members through these: before Python 3.12,
+# ``EnumType.__getattr__`` makes each ``BlockKind.POW`` a slow lookup.
+POW, POS, GENESIS = BlockKind
+EXTENDED_CANONICAL, SIDE_CHAIN, REORG, REJECTED_FUTURE, INVALID, DUPLICATE = ImportResult
+
+
 @dataclass(slots=True)
 class TreeNode:
     block: Block
@@ -129,7 +135,7 @@ def make_genesis(oracle: HashOracle) -> Block:
     return Block(
         id=oracle.hash("genesis-id").value,
         parent_id=None,
-        kind=BlockKind.GENESIS,
+        kind=GENESIS,
         difficulty=1.0,
         timestamp=0.0,
         height=0,
@@ -146,7 +152,7 @@ class BlockTree:
     """
 
     def __init__(self, genesis: Block, rule, base_weight: Tuple[float, float] = (1.0, 1.0)):
-        if genesis.kind is not BlockKind.GENESIS:
+        if genesis.kind is not GENESIS:
             raise ValueError("tree must be rooted at a genesis block")
         self.rule = rule
         self.genesis_id = genesis.id
@@ -207,9 +213,9 @@ class BlockTree:
         if block_id is None:
             return None
         node = self.nodes[block_id]
-        if kind is BlockKind.POW:
-            return block_id if node.block.kind is BlockKind.POW else node.pow_anchor
-        return block_id if node.block.kind is BlockKind.POS else node.pos_anchor
+        if kind is POW:
+            return block_id if node.block.kind is POW else node.pow_anchor
+        return block_id if node.block.kind is POS else node.pos_anchor
 
     def seed_anchor(self, block_id: int) -> Block:
         """Last seed-carrying block at or above ``block_id`` (PoS, else genesis)."""
@@ -228,7 +234,7 @@ class BlockTree:
         function of ancestry.
         """
         node = self.nodes[parent_id]
-        if kind is BlockKind.POW:
+        if kind is POW:
             if node.pow_expected is None:
                 node.pow_expected = self.rule.expected(self, parent_id, kind)
             return node.pow_expected
@@ -253,24 +259,18 @@ class BlockTree:
         local_clock: float = math.inf,
         t_future: float = math.inf,
     ) -> ImportResult:
-        if block.id in self.nodes:
-            return ImportResult.DUPLICATE
-        if block.parent_id is None or block.parent_id not in self.nodes:
-            return ImportResult.INVALID
-        if block.kind is BlockKind.GENESIS:
-            return ImportResult.INVALID
-        if not (block.difficulty > 0):
-            return ImportResult.INVALID
-        if (block.seed is not None) != (block.kind is BlockKind.POS):
-            return ImportResult.INVALID
-        parent = self.nodes[block.parent_id]
-        if block.height != parent.block.height + 1:
-            return ImportResult.INVALID
-        if block.difficulty != self.expected_difficulty(block.parent_id, block.kind):
-            return ImportResult.INVALID
+        nodes = self.nodes
+        if block.id in nodes:
+            return DUPLICATE
+        parent = nodes.get(block.parent_id)  # None if unknown, or if the block has none
+        if (parent is None or block.kind is GENESIS or not block.difficulty > 0
+                or (block.seed is not None) != (block.kind is POS)
+                or block.height != parent.block.height + 1
+                or block.difficulty != self.expected_difficulty(block.parent_id, block.kind)):
+            return INVALID
         if block.timestamp > local_clock + t_future:
             # Too far ahead of this node's clock; not stored, may come back.
-            return ImportResult.REJECTED_FUTURE
+            return REJECTED_FUTURE
 
         # Store the origin's node only for the same block object on the
         # origin's parent node: then the whole ancestry is the origin's too.
@@ -279,25 +279,25 @@ class BlockTree:
             node = TreeNode(
                 block=block,
                 weight=parent.weight.child(block.kind, block.difficulty),
-                arrival_order=len(self.nodes),
-                pow_anchor=self._anchor(block.parent_id, BlockKind.POW),
-                pos_anchor=self._anchor(block.parent_id, BlockKind.POS),
+                arrival_order=len(nodes),
+                pow_anchor=self._anchor(block.parent_id, POW),
+                pos_anchor=self._anchor(block.parent_id, POS),
             )
-        self.nodes[block.id] = node
+        nodes[block.id] = node
         self.tips.pop(block.parent_id, None)
         self.tips[block.id] = None
 
         old_tip = self.canonical_tip
-        if node.weight.product > self.nodes[old_tip].weight.product:
+        if node.weight.product > nodes[old_tip].weight.product:
             self.canonical_tip = block.id
         elif block.parent_id == old_tip:
             # The product did not grow: a tip tied with the parent may win.
             self.canonical_tip = self.fork_choice()
         if self.canonical_tip == block.id:
             if block.parent_id == old_tip:
-                return ImportResult.EXTENDED_CANONICAL
-            return ImportResult.REORG
-        return ImportResult.SIDE_CHAIN
+                return EXTENDED_CANONICAL
+            return REORG
+        return SIDE_CHAIN
 
     # -- traversal and export -------------------------------------------
 

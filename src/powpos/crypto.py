@@ -17,10 +17,10 @@ keeps the keyed state after each such label, up to ``_MAX_LABELS`` of them,
 and copies it instead of framing the label again.  The digest is the same
 either way: it depends only on the bytes fed.
 
-``HashOracle.sign_seeds`` frames ``"seed-signature"`` and one seed anchor
-once, into a keyed state that every key's signature copies.  It returns the
-raw signature bytes, so that a lottery makes a :class:`Digest` only for the
-slots it keeps.
+Seed signatures are framed here alone.  ``HashOracle.seed_signing`` frames
+``"seed-signature"`` and one seed anchor into a keyed state, and a
+:class:`KeyPair` holds its ``sk`` framed once, so the staking lottery
+(``forging``'s slot kernel) signs a key with one copy and one update.
 """
 
 from __future__ import annotations
@@ -28,9 +28,9 @@ from __future__ import annotations
 import hashlib
 import random
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, Tuple, Union
 
 TWO_256 = 1 << 256
 
@@ -53,7 +53,7 @@ class Digest:
     @property
     def unit(self) -> float:
         """Map the digest into (0, 1]; zero maps to the smallest positive unit."""
-        return _unit(self.value)
+        return unit_of(self.value)
 
     @classmethod
     def from_bytes(cls, raw: bytes) -> "Digest":
@@ -61,16 +61,21 @@ class Digest:
         return _make_digest(raw)
 
 
-def _unit(value: int) -> float:
-    return value / TWO_256 if value else MIN_UNIT
+def unit_of(value: int) -> float:
+    """The ``unit`` of the digest with 256-bit ``value``."""
+    return value / TWO_256 or MIN_UNIT
 
 
 @dataclass(frozen=True, slots=True)
 class KeyPair:
-    """Simulation keypair: the public side doubles as the account id."""
+    """Simulation keypair: ``pk`` doubles as the account id; ``framed_sk`` is ``sk`` framed."""
 
     pk: int
     sk: bytes
+    framed_sk: bytes = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "framed_sk", _encode_bytes(self.sk))
 
 
 # Tag + 4-byte big-endian body length + body keeps distinct argument tuples
@@ -158,7 +163,7 @@ class HashOracle:
     identical runs get identical ones.
     """
 
-    __slots__ = ("run_seed", "_keyed", "_labelled")
+    __slots__ = ("run_seed", "_keyed", "_labelled", "_signing", "_digesting")
 
     def __init__(self, run_seed: int):
         self.run_seed = int(run_seed)
@@ -167,6 +172,10 @@ class HashOracle:
         self._keyed = hashlib.blake2b(key=key, digest_size=32)
         # The keyed state after each leading string label, framed once.
         self._labelled: Dict[str, "hashlib._Hash"] = {}
+        # The keyed state after the seed-signature label, and after a digest's frame.
+        self._signing, self._digesting = self._keyed.copy(), self._keyed.copy()
+        self._signing.update(_encode_str("seed-signature"))
+        self._digesting.update(_DIGEST_FRAME)
 
     def hash(self, *parts: Hashable) -> Digest:
         if parts and type(parts[0]) is str:
@@ -191,20 +200,13 @@ class HashOracle:
         """Deterministic signature of the previous seed under ``sk``."""
         return self.hash("seed-signature", prev, sk)
 
-    def sign_seeds(self, prev: Digest, sks: Sequence[bytes]) -> Tuple[List[bytes], List[float]]:
-        """Each key's ``sign_seed(prev, sk)`` as raw bytes, and the ``unit`` of its ``hash``."""
-        anchored = self._keyed.copy()
-        anchored.update(_encode_str("seed-signature") + _encode_digest(prev))
-        signed, units = [], []
-        for sk in sks:
-            h = anchored.copy()
-            h.update(_encode_bytes(sk))
-            raw = h.digest()
-            h = self._keyed.copy()
-            h.update(_DIGEST_FRAME + raw)
-            signed.append(raw)
-            units.append(_unit(int.from_bytes(h.digest(), "big")))
-        return signed, units
+    def seed_signing(self, prev: Digest) -> Tuple["hashlib._Hash", "hashlib._Hash"]:
+        """Two keyed states to copy per key: a key's ``framed_sk`` completes the
+        first into its ``sign_seed(prev, sk)``, and that signature's 32 raw
+        bytes complete the second into the signature's ``hash``."""
+        signing = self._signing.copy()
+        signing.update(_encode_digest(prev))
+        return signing, self._digesting
 
     def keypair(self, account: int) -> KeyPair:
         """Deterministic per-account keypair; ``pk`` is the account id."""

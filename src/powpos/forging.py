@@ -20,13 +20,14 @@ block's timestamp is the eligibility instant itself, recomputable by any
 validator from the seed, so stakers cannot steer their next draw by shading
 timestamps.
 
-``pos_lottery`` is the slot kernel: on one seed anchor and ``d_s`` it signs
-every staker's seed in one ``HashOracle.sign_seeds`` pass; the split-stake
-attack draws through it.  ``pos_winner`` is the same pass kept to its
-earliest slot, the only one that can forge, and returns it as the
-``PosEligibility`` record that forging, eligibility and verification share:
-the engine keeps it per anchor and forges from it, ``pos_eligibility`` is
-one key's draw on a tree, and ``verify_pos_block`` compares a block with it.
+``_slots`` is the slot kernel: on one seed anchor and ``d_s`` it signs each
+key (framed once, when it was made) from the oracle's ``seed_signing``
+states and yields raw signatures and delays.  ``pos_lottery`` keeps every
+slot; the split-stake attack draws through it.  ``pos_winner`` keeps the
+earliest, the only one that can forge, as the ``PosEligibility`` record that
+forging, eligibility and verification share: the engine keeps it per anchor
+and forges from it, ``pos_eligibility`` is one key's draw on a tree, and
+``verify_pos_block`` compares a block with it.
 """
 
 from __future__ import annotations
@@ -34,10 +35,10 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .chain import Block, BlockKind, BlockTree
-from .crypto import Digest, HashOracle, KeyPair
+from .crypto import Digest, HashOracle, KeyPair, unit_of
 
 
 class EligibilityError(ValueError):
@@ -76,27 +77,43 @@ def pow_solve_time(miner: MinerContext, d_w: float, rng: random.Random) -> float
     rate = miner.hash_power / d_w
     return rng.expovariate(rate) if rate else math.inf
 
-def _delays(d_s: float, units: Sequence[float], powers: Sequence[float]) -> List[float]:
-    """``d_s * |ln u| / V`` per unit and voting power; infinite for zero power."""
-    if d_s <= 0:
-        raise ValueError("stake difficulty must be positive")
-    if any(power < 0 for power in powers):
-        raise ValueError("voting power must be non-negative")
-    return [d_s * abs(math.log(unit)) / power if power else math.inf
-            for unit, power in zip(units, powers)]
+
+def _check(d_s: float, power: float) -> None:
+    """Reject a ``d_s`` that is not finite and positive, and a NaN, infinite or negative power."""
+    if not 0.0 < d_s < math.inf:
+        raise ValueError("stake difficulty must be finite and positive")
+    if not 0.0 <= power < math.inf:
+        raise ValueError("voting power must be finite and non-negative")
 
 
 def pos_delay(oracle: HashOracle, signed_seed: Digest, d_s: float, voting_power: float) -> float:
-    """Forging delay for a signed seed; infinite for zero voting power."""
-    return _delays(d_s, [oracle.hash(signed_seed).unit], [voting_power])[0]
+    """Forging delay ``d_s * |ln u| / V``, ``u`` the seed's hash's unit; inf at zero power."""
+    _check(d_s, voting_power)
+    unit = oracle.hash(signed_seed).unit
+    return d_s * abs(math.log(unit)) / voting_power if voting_power else math.inf
+
+
+def _slots(oracle: HashOracle, seed: Digest, d_s: float,
+           stakers: Sequence[Tuple[KeyPair, float]]) -> Iterator[Tuple[bytes, float]]:
+    """Each ``(key, voting power)``'s raw signed seed and ``pos_delay`` on one seed anchor."""
+    _check(d_s, 0.0)  # each power is checked as its key comes up
+    signing, digesting = oracle.seed_signing(seed)
+    for key, power in stakers:
+        if not 0.0 <= power < math.inf:
+            _check(d_s, power)
+        h = signing.copy()
+        h.update(key.framed_sk)
+        raw = h.digest()
+        h = digesting.copy()
+        h.update(raw)
+        unit = unit_of(int.from_bytes(h.digest(), "big"))
+        yield raw, d_s * abs(math.log(unit)) / power if power else math.inf
 
 
 def pos_lottery(oracle: HashOracle, seed: Digest, d_s: float,
                 stakers: Sequence[Tuple[KeyPair, float]]) -> List[Tuple[Digest, float]]:
     """Each ``(key, voting power)``'s signed seed and delay on one seed anchor."""
-    signed, units = oracle.sign_seeds(seed, [key.sk for key, _ in stakers])
-    delays = _delays(d_s, units, [power for _, power in stakers])
-    return [(Digest.from_bytes(raw), delay) for raw, delay in zip(signed, delays)]
+    return [(Digest.from_bytes(raw), delay) for raw, delay in _slots(oracle, seed, d_s, stakers)]
 
 
 def pos_winner(oracle: HashOracle, anchor: Block, d_s: float,
@@ -107,13 +124,16 @@ def pos_winner(oracle: HashOracle, anchor: Block, d_s: float,
     Ties go to the lowest index; the slot's ``eligible_at`` is infinite when
     no staker has power, and ``(None, None)`` is the draw of no stakers.
     """
-    signed, units = oracle.sign_seeds(anchor.seed, [key.sk for key, _ in stakers])
-    delays = _delays(d_s, units, [power for _, power in stakers])
-    if not delays:
+    slots = _slots(oracle, anchor.seed, d_s, stakers)
+    first = next(slots, None)
+    if first is None:
         return None, None
-    best = min(range(len(delays)), key=delays.__getitem__)
-    return best, PosEligibility(Digest.from_bytes(signed[best]),
-                                anchor.timestamp + delays[best], anchor.id, d_s)
+    best, (best_raw, best_delay) = 0, first
+    for index, (raw, delay) in enumerate(slots, 1):
+        if delay < best_delay:
+            best, best_raw, best_delay = index, raw, delay
+    return best, PosEligibility(Digest.from_bytes(best_raw), anchor.timestamp + best_delay,
+                                anchor.id, d_s)
 
 
 def pos_eligibility(

@@ -59,7 +59,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import stats
-from .chain import Block, BlockKind, BlockTree, ImportResult, make_genesis
+from .chain import POS, POW, REJECTED_FUTURE, Block, BlockTree, ImportResult, make_genesis
 from .crypto import HashOracle, KeyPair
 from .difficulty import AdaptiveRule, DifficultyParams
 from .forging import (
@@ -76,6 +76,9 @@ from .ledger import Ledger
 
 # Same-kind block count treated as controller warm-up in convergence metrics.
 WARMUP_BLOCKS = 2000
+
+# The import results that store the block.
+_STORED = (ImportResult.EXTENDED_CANONICAL, ImportResult.SIDE_CHAIN, ImportResult.REORG)
 
 
 class ConfigError(ValueError):
@@ -463,7 +466,7 @@ class _Engine:
         """Make the view's live production event the one of its earliest
         pending pool, keyed by that pool's ``(due, seq)``."""
         key, kind = None, None
-        for pool, pool_kind in ((view.mining, BlockKind.POW), (view.staking, BlockKind.POS)):
+        for pool, pool_kind in ((view.mining, POW), (view.staking, POS)):
             if (pool is not None and pool.due < math.inf
                     and (key is None or (pool.due, pool.seq) < key)):
                 key, kind = (pool.due, pool.seq), pool_kind
@@ -482,13 +485,13 @@ class _Engine:
         tip = tree.canonical_tip
         mining, staking = view.mining, view.staking
         if mining is not None:
-            d_w = tree.expected_difficulty(tip, BlockKind.POW)
+            d_w = tree.expected_difficulty(tip, POW)
             if mining.due == math.inf or mining.d_w != d_w:  # fired, or the rate moved
                 self._seq += 1
                 mining.due = now + pow_solve_time(mining.merged, d_w, mining.rng)
                 mining.seq, mining.d_w = self._seq, d_w
         if staking is not None:
-            d_s = tree.expected_difficulty(tip, BlockKind.POS)
+            d_s = tree.expected_difficulty(tip, POS)
             anchor = tree.seed_anchor(tip)
             slot = staking.slot
             if staking.due == math.inf or slot.anchor_id != anchor.id or slot.difficulty != d_s:
@@ -507,11 +510,7 @@ class _Engine:
             self.observer.tree.import_block(block)
         before = view.tree.canonical_tip
         result = view.tree.import_block(block, now, self.config.t_future)
-        assert result in (
-            ImportResult.EXTENDED_CANONICAL,
-            ImportResult.SIDE_CHAIN,
-            ImportResult.REORG,
-        ), f"own block import failed: {result}"
+        assert result in _STORED, f"own block import failed: {result}"
         self.produced += 1
         if replicated:
             # One event per arrival instant.  Per-view events for one instant
@@ -528,26 +527,23 @@ class _Engine:
             self._refresh(view, now)
 
     def _receive(self, view: _View, block: Block, now: float) -> None:
-        if block.id in view.tree:
-            return
-        if block.parent_id not in view.tree:
+        # The one membership test: a block whose parent has not arrived
+        # waits; import_block answers every other case, duplicates included.
+        tree = view.tree
+        if block.parent_id not in tree.nodes:
             view.orphans.setdefault(block.parent_id, []).append(block)
             return
-        before = view.tree.canonical_tip
-        result = view.tree.import_block(block, now, self.config.t_future)
-        if result is ImportResult.REJECTED_FUTURE:
+        before = tree.canonical_tip
+        result = tree.import_block(block, now, self.config.t_future)
+        if result is REJECTED_FUTURE:
             self._push(block.timestamp - self.config.t_future, "deliver", ((view.index,), block))
             return
-        if result in (
-            ImportResult.EXTENDED_CANONICAL,
-            ImportResult.SIDE_CHAIN,
-            ImportResult.REORG,
-        ):
+        if result in _STORED:
             waiting = view.orphans.pop(block.id, None)
             if waiting:
                 for child in waiting:
                     self._receive(view, child, now)
-            if view.tree.canonical_tip != before:
+            if tree.canonical_tip != before:
                 self._refresh(view, now)
 
     def _fire_pow(self, view: _View, now: float) -> None:
@@ -584,7 +580,7 @@ class _Engine:
                 if epoch != view.epoch:
                     continue
                 view.armed = None
-                if kind is BlockKind.POW:
+                if kind is POW:
                     self._fire_pow(view, at)
                 else:
                     self._fire_pos(view, at)

@@ -184,27 +184,23 @@ def test_hash_rejects_unknown_part_types():
         crypto.HashOracle(1).hash("label", [1, 2])
 
 
-# -- batched seed signatures -----------------------------------------------
+# -- seed signing states --------------------------------------------------
 
 
 @settings(max_examples=150, deadline=None)
 @given(run_seed=st.integers(0, 1 << 140), prev=st.integers(0, crypto.TWO_256 - 1),
        sks=st.lists(st.binary(max_size=40), max_size=6))
 @example(run_seed=1, prev=0, sks=[b"", b"\x00" * 32, b""])
-def test_sign_seeds_matches_key_by_key_signatures(run_seed, prev, sks):
+def test_seed_signing_states_complete_key_by_key_signatures(run_seed, prev, sks):
+    # The slot kernel's framing, checked against BLAKE2b framed from scratch.
     oracle = crypto.HashOracle(run_seed)
-    signed, units = oracle.sign_seeds(crypto.Digest(prev), sks)
-    expected = [reference_hash(run_seed, "seed-signature", crypto.Digest(prev), sk)
-                for sk in sks]
-    # Raw 32-byte signatures, big-endian: no Digest per key.
-    assert all(type(raw) is bytes and len(raw) == 32 for raw in signed)
-    seeds = [crypto.Digest.from_bytes(raw) for raw in signed]
-    assert [s.value for s in seeds] == expected
-    assert seeds == [oracle.sign_seed(crypto.Digest(prev), sk) for sk in sks]
-    # The unit is the signature's hash's, not the signature's own.
-    assert units == [crypto.Digest(reference_hash(run_seed, s)).unit for s in seeds]
-    assert units == [oracle.hash(s).unit for s in seeds]
-
-
-def test_sign_seeds_of_no_keys_is_empty():
-    assert crypto.HashOracle(1).sign_seeds(crypto.Digest(9), []) == ([], [])
+    for sk in sks:
+        signing, digesting = oracle.seed_signing(crypto.Digest(prev))
+        signing.update(crypto.KeyPair(pk=0, sk=sk).framed_sk)
+        raw = signing.digest()
+        assert int.from_bytes(raw, "big") == reference_hash(
+            run_seed, "seed-signature", crypto.Digest(prev), sk)
+        hashed = digesting.copy()
+        hashed.update(raw)
+        assert int.from_bytes(hashed.digest(), "big") == reference_hash(
+            run_seed, crypto.Digest.from_bytes(raw))

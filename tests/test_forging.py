@@ -178,22 +178,57 @@ def test_lottery_equals_key_by_key_draws(run_seed, anchor, d_s, stakers):
 
 
 @settings(max_examples=150, deadline=None)
-@given(run_seed=st.integers(0, 1 << 70), anchor=st.integers(0, crypto.TWO_256 - 1),
-       d_s=st.floats(1e-3, 1e7),
+@given(run_seed=st.integers(0, 1 << 70),
+       anchors=st.lists(st.integers(0, crypto.TWO_256 - 1), min_size=1, max_size=3),
+       d_s_values=st.lists(st.floats(1e-3, 1e7), min_size=1, max_size=3),
        stakers=st.lists(st.tuples(st.integers(0, 10**6), POWERS), min_size=1, max_size=8,
                         unique_by=lambda s: s[0]))
-@example(run_seed=1, anchor=0, d_s=7600.0, stakers=[(1, 0.0), (2, 10.0), (3, 10.0)])
-@example(run_seed=2, anchor=5, d_s=7600.0, stakers=[(4, 0.0), (5, 0.0)])
-def test_winner_is_the_earliest_lottery_slot(run_seed, anchor, d_s, stakers):
+@example(run_seed=1, anchors=[0], d_s_values=[7600.0],
+         stakers=[(1, 0.0), (2, 10.0), (3, 10.0)])
+@example(run_seed=2, anchors=[5], d_s_values=[7600.0], stakers=[(4, 0.0), (5, 0.0)])
+@example(run_seed=3, anchors=[5, 6, 5], d_s_values=[7600.0, 1.5],
+         stakers=[(1, 10.0), (2, 20.0), (3, 0.0)])
+def test_winner_is_the_earliest_lottery_slot(run_seed, anchors, d_s_values, stakers):
+    # One staker set, its keys made and framed once, draws on successive
+    # anchors and difficulties: no call may see another's anchor.
     oracle = crypto.HashOracle(run_seed)
-    seed = crypto.Digest(anchor)
     pairs = [(oracle.keypair(account), power) for account, power in stakers]
-    slots = pos_lottery(oracle, seed, d_s, pairs)
-    earliest = min(range(len(slots)), key=lambda i: (slots[i][1], i))
-    signed, delay = slots[earliest]
-    block = seed_anchor(seed, timestamp=250.5)
-    assert pos_winner(oracle, block, d_s, pairs) == (earliest, forging.PosEligibility(
-        seed=signed, eligible_at=250.5 + delay, anchor_id=block.id, difficulty=d_s))
+    for anchor in anchors:
+        seed = crypto.Digest(anchor)
+        block = seed_anchor(seed, timestamp=250.5)
+        for d_s in d_s_values:
+            slots = pos_lottery(oracle, seed, d_s, pairs)
+            key_by_key = []
+            for key, power in pairs:
+                signed = oracle.sign_seed(seed, key.sk)
+                key_by_key.append((signed, pos_delay(oracle, signed, d_s, power)))
+            assert slots == key_by_key
+            earliest = min(range(len(slots)), key=lambda i: (slots[i][1], i))
+            signed, delay = slots[earliest]
+            assert pos_winner(oracle, block, d_s, pairs) == (earliest, forging.PosEligibility(
+                seed=signed, eligible_at=250.5 + delay, anchor_id=block.id, difficulty=d_s))
+
+
+@settings(max_examples=150, deadline=None)
+@given(run_seed=st.integers(0, 1 << 140), prev=st.integers(0, crypto.TWO_256 - 1),
+       sks=st.lists(st.binary(max_size=40), max_size=6))
+@example(run_seed=1, prev=0, sks=[b"", b"\x00" * 32, b""])
+def test_slot_kernel_matches_key_by_key_signatures(run_seed, prev, sks):
+    oracle = crypto.HashOracle(run_seed)
+    seed = crypto.Digest(prev)
+    stakers = [(crypto.KeyPair(pk=i, sk=sk), 10.0) for i, sk in enumerate(sks)]
+    slots = list(forging._slots(oracle, seed, 7600.0, stakers))
+    # Raw 32-byte signatures, big-endian: no Digest per key.
+    assert all(type(raw) is bytes and len(raw) == 32 for raw, _ in slots)
+    signed = [crypto.Digest.from_bytes(raw) for raw, _ in slots]
+    assert signed == [oracle.sign_seed(seed, sk) for sk in sks]
+    # The unit is the signature's hash's, not the signature's own.
+    assert [delay for _, delay in slots] == [
+        7600.0 * abs(math.log(oracle.hash(s).unit)) / 10.0 for s in signed]
+
+
+def test_slot_kernel_of_no_keys_is_empty():
+    assert list(forging._slots(crypto.HashOracle(1), crypto.Digest(9), 7600.0, [])) == []
 
 
 def test_winner_ties_go_to_the_lowest_index():
@@ -234,6 +269,21 @@ def test_lottery_rejects_bad_difficulty_and_power():
             pos_lottery(oracle, seed, d_s, [(key, 10.0)])
     with pytest.raises(ValueError, match="voting power"):
         pos_lottery(oracle, seed, 7600.0, [(key, 10.0), (oracle.keypair(2), -1.0)])
+
+
+@pytest.mark.parametrize("d_s, power", [(math.nan, 1.0), (math.inf, 1.0), (-math.inf, 1.0),
+                                        (7600.0, math.nan), (7600.0, math.inf)])
+def test_lottery_rejects_non_finite_difficulty_and_power(d_s, power):
+    # A NaN power used to win any lottery it led, at a NaN instant.
+    oracle = crypto.HashOracle(1)
+    seed = crypto.genesis_seed(oracle)
+    stakers = [(oracle.keypair(0), power), (oracle.keypair(1), 1.0), (oracle.keypair(2), 2.0)]
+    match = "voting power" if math.isfinite(d_s) else "stake difficulty"
+    for draw in (lambda: pos_lottery(oracle, seed, d_s, stakers),
+                 lambda: pos_winner(oracle, seed_anchor(seed), d_s, stakers),
+                 lambda: pos_delay(oracle, seed, d_s, power)):
+        with pytest.raises(ValueError, match=match):
+            draw()
 
 
 # -- block construction ----------------------------------------------------

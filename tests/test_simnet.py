@@ -563,27 +563,39 @@ def test_stakers_vote_with_their_configured_stake():
     assert all(engine.ledger.voting_power(a) == 0.0 for a, _ in config.miners)
 
 
-def test_oracle_digests_per_stored_block_pinned(monkeypatch):
-    # Every digest the oracle computes: one per ``hash`` call and two per key
-    # of a ``sign_seeds`` batch (the signature and its unit's hash).
+def count_oracle_digests(monkeypatch, config):
+    """Every digest the oracle computes in a run of ``config``: one per ``hash``
+    call and two per key the slot kernel signs (the signature and its
+    unit's hash); and the run's stored blocks."""
     digests = [0]
-    hash_, sign_seeds = powpos.HashOracle.hash, powpos.HashOracle.sign_seeds
+    hash_, slots = powpos.HashOracle.hash, forging._slots
 
     def counted_hash(self, *parts):
         digests[0] += 1
         return hash_(self, *parts)
 
-    def counted_sign_seeds(self, prev, sks):
-        digests[0] += 2 * len(sks)
-        return sign_seeds(self, prev, sks)
+    def counted_slots(oracle, seed, d_s, stakers):
+        digests[0] += 2 * len(stakers)
+        return slots(oracle, seed, d_s, stakers)
 
     monkeypatch.setattr(powpos.HashOracle, "hash", counted_hash)
-    monkeypatch.setattr(powpos.HashOracle, "sign_seeds", counted_sign_seeds)
-    report = simnet.run(quick_config(duration=3600.0))
+    monkeypatch.setattr(forging, "_slots", counted_slots)
+    report = simnet.run(config)
+    return digests[0], report.stored_blocks
+
+
+def test_oracle_digests_per_stored_block_pinned(monkeypatch):
     # Recorded with one mining stream for the shared view's ten miners; it
     # read (22483, 1840) with a stream per miner, so every staker still
     # signs every anchor.
-    assert (digests[0], report.stored_blocks) == (22480, 1846)
+    assert count_oracle_digests(monkeypatch, quick_config(duration=3600.0)) == (22480, 1846)
+
+
+def test_oracle_digests_per_stored_block_pinned_under_latency(monkeypatch):
+    # One-key pools, one per staker's view.  Pinned before the lottery's
+    # per-key work was fused into one kernel, which moved no digest.
+    config = equilibrium_hour(latency=LatencyModel.fixed(2.0))
+    assert count_oracle_digests(monkeypatch, config) == (4764, 415)
 
 
 def test_one_draw_per_block_and_kind_at_perfect_latency(monkeypatch):
